@@ -20,7 +20,7 @@ from .spectra import (
     is_contracting,
     leading_eigenvalue,
 )
-from .words import CyclicWord, Letter, Word, conjugacy_equal, cyclic_reduce, primitive_root
+from .words import CyclicWord, Word, conjugacy_equal, cyclic_reduce, primitive_root
 
 __all__ = [
     "AbelianVirtualEndo",
@@ -29,7 +29,6 @@ __all__ = [
     "DomainError",
     "EntersCycle",
     "EventuallyTrivial",
-    "Letter",
     "MapDefError",
     "MapDefinition",
     "OrbitResult",

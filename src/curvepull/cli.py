@@ -10,24 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import spectra
-from .curves import (
-    Curve,
-    EntersCycle,
-    EventuallyTrivial,
-    OrbitResult,
-    PullbackSystem,
-    Unresolved,
-)
-from .mapdef import MapDefError, load_map
-from .verify import SuiteError, run_suite
-from .words import Word, WordSyntaxError, geodesic_length
+from .curves import EntersCycle, EventuallyTrivial, OrbitResult, PullbackSystem, Unresolved
+from .mapdef import load_map
+from .verify import SUITES, run_suite, sweep_facts
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -137,77 +127,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_ok else CHECK_FAILED
 
 
-_SWEEP_SYSTEM: PullbackSystem | None = None
-
-
-def _sweep_init(map_spec: str) -> None:
-    global _SWEEP_SYSTEM
-    _SWEEP_SYSTEM = PullbackSystem(load_map(map_spec))
-
-
-def _sweep_classify(payload: tuple[Curve, int]) -> OrbitResult:
-    curve, max_steps = payload
-    assert _SWEEP_SYSTEM is not None
-    return _SWEEP_SYSTEM.orbit(curve, max_steps)
-
-
-def run_sweep(
-    system: PullbackSystem,
-    max_len: int,
-    max_steps: int,
-    jobs: int = 1,
-    map_spec: str | None = None,
-) -> dict:
+def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
     """Classify every curve with conjugator length <= max_len.
 
     Returns histogram data plus any counterexamples: unresolved orbits,
-    rabbit cycles other than the axis 3-cycle, dendrite orbits exceeding
-    the 4|w|+3 trivialization bound, and cycles whose weight product is
-    at least 1 (an obstruction finding).
+    cycles whose weight product is at least 1 (an obstruction finding),
+    and curves that break a sweep fact of the paper applying to the map
+    (``verify.SWEEP_FACTS``).
     """
     curves = system.enumerate_curves(max_len)
-    if jobs > 1 and map_spec is not None:
-        payloads = [(c, max_steps) for c in curves]
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_sweep_init, initargs=(map_spec,)
-        ) as pool:
-            results = list(pool.map(_sweep_classify, payloads, chunksize=256))
-    else:
-        results = [system.orbit(c, max_steps) for c in curves]
-
-    mapdef = system.mapdef
-    axes = frozenset(Curve(i, Word.identity()) for i in range(3))
+    facts = sweep_facts(system.mapdef)
     histogram: dict[tuple[str, int], int] = {}
     counterexamples: list[str] = []
-    for curve, result in zip(curves, results):
-        cls = result.classification
+    for curve, cls in zip(curves, system.classify(curves, max_steps)):
         if isinstance(cls, EventuallyTrivial):
-            histogram[("trivial", cls.steps)] = histogram.get(("trivial", cls.steps), 0) + 1
-            if mapdef.name == "dendrite":
-                bound = 4 * geodesic_length(curve.conjugator, [mapdef.third_axis]) + 3
-                if cls.steps > bound:
-                    counterexamples.append(
-                        f"{system.format_curve(curve)}: trivial after {cls.steps} steps, bound {bound}"
-                    )
+            key = ("trivial", cls.steps)
         elif isinstance(cls, EntersCycle):
-            histogram[("cycle", cls.preperiod)] = histogram.get(("cycle", cls.preperiod), 0) + 1
+            key = ("cycle", cls.preperiod)
             if cls.weight_product >= 1:
                 counterexamples.append(
                     f"{system.format_curve(curve)}: obstruction, cycle weight "
                     f"product {_frac(cls.weight_product)} >= 1"
                 )
-            if mapdef.name == "dendrite":
-                counterexamples.append(
-                    f"{system.format_curve(curve)}: enters a cycle, expected trivial"
-                )
-            elif mapdef.name == "rabbit" and frozenset(cls.cycle) != axes:
-                counterexamples.append(
-                    f"{system.format_curve(curve)}: unexpected cycle "
-                    + " -> ".join(system.format_curve(c) for c in cls.cycle)
-                )
         else:
-            histogram[("unresolved", 0)] = histogram.get(("unresolved", 0), 0) + 1
+            key = ("unresolved", 0)
             counterexamples.append(f"{system.format_curve(curve)}: unresolved")
+        histogram[key] = histogram.get(key, 0) + 1
+        for check in facts:
+            problem = check(system, curve, cls)
+            if problem is not None:
+                counterexamples.append(f"{system.format_curve(curve)}: {problem}")
     return {"curves": curves, "histogram": histogram, "counterexamples": counterexamples}
 
 
@@ -215,8 +164,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     mapdef = load_map(args.map)
     system = PullbackSystem(mapdef)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    data = run_sweep(system, args.max_len, args.max_steps, jobs=jobs, map_spec=args.map)
+    data = run_sweep(system, args.max_len, args.max_steps)
     histogram = data["histogram"]
     counterexamples = data["counterexamples"]
     lines = [
@@ -355,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a built-in map against its reference identities")
     add_common(p_verify)
     p_verify.add_argument(
-        "--suite", required=True, choices=("table7", "recursions", "prop84", "lemma83", "all")
+        "--suite", required=True, choices=(*SUITES, "all")
     )
     p_verify.add_argument("--n", type=int, default=12, help="depth for the prop84 suite")
     p_verify.set_defaults(func=cmd_verify)
@@ -364,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--max-len", type=int, required=True)
     p_sweep.add_argument("--max-steps", type=int, default=1000)
-    p_sweep.add_argument("--jobs", type=int, default=None, help="worker processes; default: available parallelism")
+    p_sweep.add_argument("--jobs", type=int, default=None, help="accepted and ignored; a sweep runs in one process")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_spectra = sub.add_parser("spectra", help="leading eigenvalue and exact contraction verdict")
@@ -397,9 +345,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-steps must be at least 1")
     try:
         return args.func(args)
-    except (MapDefError, SuiteError, WordSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

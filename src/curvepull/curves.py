@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .endo import VirtualEndo
 from .mapdef import MapDefinition
@@ -127,10 +127,6 @@ class PullbackSystem:
                     rot = codes[j:] + codes[:j]
                     self._rotations.setdefault(rot, (i, Word(codes[:j], _reduced=True)))
 
-    @classmethod
-    def for_map(cls, mapdef: MapDefinition) -> "PullbackSystem":
-        return cls(mapdef)
-
     # -- canonical form ------------------------------------------------------
 
     def canonicalize(self, axis: int, conjugator: Word) -> Curve:
@@ -213,6 +209,65 @@ class PullbackSystem:
             visited[step.target] = len(trail)
             trail.append(step.target)
         return OrbitResult(start, tuple(steps), Unresolved(max_steps))
+
+    def classify(self, curves: Iterable[Curve], max_steps: int = 1000) -> list[Classification]:
+        """``orbit(c, max_steps).classification`` for each curve, pulling
+        each distinct curve back at most once.
+
+        Every curve has exactly one pullback target, so a classification
+        follows from the target's one: one more step to the trivial curve,
+        or one more step of preperiod before the same cycle.  The memo
+        holds classifications without the step cut; one that needs more
+        than ``max_steps`` pullbacks to be seen (the trivial depth, or
+        preperiod plus period) is reported as unresolved, as ``orbit`` does.
+        """
+        if max_steps < 1:
+            raise ValueError("max_steps must be positive")
+        # curve -> [its pullback step, its classification or None if not yet known]
+        memo: dict[Curve, list] = {}
+        out: list[Classification] = []
+        for curve in curves:
+            start = self.canonicalize(curve.axis, curve.conjugator)
+            walk: list[tuple[Curve, list]] = []
+            index: dict[Curve, int] = {}
+            after: EventuallyTrivial | EntersCycle | None = None
+            cur: Curve | None = start
+            while cur is not None:
+                entry = memo.get(cur)
+                if entry is not None and entry[1] is not None:
+                    after = entry[1]
+                    break
+                if cur in index or len(walk) == max_steps:
+                    break
+                if entry is None:
+                    entry = memo[cur] = [self.pullback(cur), None]
+                index[cur] = len(walk)
+                walk.append((cur, entry))
+                cur = entry[0].target
+            if cur is None:
+                after = EventuallyTrivial(0)
+            elif cur in index:
+                # Each curve of the cycle sees the cycle from itself.
+                j = index[cur]
+                cycle = tuple(c for c, _ in walk[j:])
+                weights = tuple(e[0].weight for _, e in walk[j:])
+                for k, (_, e) in enumerate(walk[j:]):
+                    e[1] = EntersCycle(0, cycle[k:] + cycle[:k], weights[k:] + weights[:k])
+                after = walk[j][1][1]
+                del walk[j:]
+            elif after is None:  # max_steps pullbacks from start without a verdict
+                out.append(Unresolved(max_steps))
+                continue
+            for _, e in reversed(walk):
+                if isinstance(after, EventuallyTrivial):
+                    after = EventuallyTrivial(after.steps + 1)
+                else:
+                    after = EntersCycle(after.preperiod + 1, after.cycle, after.cycle_weights)
+                e[1] = after
+            # `after` is now the classification of start
+            needed = after.steps if isinstance(after, EventuallyTrivial) else after.preperiod + len(after.cycle)
+            out.append(after if needed <= max_steps else Unresolved(max_steps))
+        return out
 
     # -- enumeration ---------------------------------------------------------
 

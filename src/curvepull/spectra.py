@@ -48,17 +48,6 @@ class RationalMatrix:
     def apply(self, v: Sequence[Fraction]) -> list[Fraction]:
         return [sum(row[j] * v[j] for j in range(self.n)) for row in self.entries]
 
-    def scaled_by_diagonal(self, diag: Sequence[Fraction]) -> "RationalMatrix":
-        """D A D^-1 for a positive diagonal D; similarity, same spectrum."""
-        if any(d <= 0 for d in diag):
-            raise ValueError("diagonal entries must be positive")
-        return RationalMatrix(
-            tuple(
-                tuple(diag[i] * self.entries[i][j] / diag[j] for j in range(self.n))
-                for i in range(self.n)
-            )
-        )
-
 
 def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
     """Exact Gauss-Jordan inverse; None if singular."""

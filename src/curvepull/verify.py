@@ -3,16 +3,19 @@
 Each suite replays frozen reference identities of the two built-in maps
 against the transducer, item by item.  The expected values here are data, not
 derived from the code under test, so a corrupted transducer or map file
-cannot silently pass.
+cannot silently pass.  The paper's facts about every curve's orbit, which
+``sweep`` checks, are kept here too, under the same rule for which map
+gets which checks.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import endo
-from .curves import PullbackSystem
+from .curves import Classification, Curve, EntersCycle, EventuallyTrivial, PullbackSystem
 from .mapdef import MapDefinition
 from .words import Word, geodesic_length
 
@@ -58,15 +61,6 @@ RECURSION_FACTORS = {
     ),
 }
 
-SUITE_NAMES = ("table7", "recursions", "prop84", "lemma83")
-SUITE_MAPS = {
-    "table7": ("rabbit",),
-    "recursions": ("rabbit", "dendrite"),
-    "prop84": ("dendrite",),
-    "lemma83": ("dendrite",),
-}
-
-
 class SuiteError(ValueError):
     """Suite requested for a map it does not apply to."""
 
@@ -96,9 +90,15 @@ class SuiteResult:
         return self.passed == self.total
 
 
+def applies(maps: tuple[str, ...], mapdef: MapDefinition) -> bool:
+    """The rule for which suites and sweep facts a map gets: those listed
+    under its ``map`` name, whether built in or read from a file."""
+    return mapdef.name in maps
+
+
 def _require(suite: str, mapdef: MapDefinition) -> None:
-    allowed = SUITE_MAPS[suite]
-    if mapdef.name not in allowed:
+    allowed = SUITES[suite][0]
+    if not applies(allowed, mapdef):
         raise SuiteError(f"suite {suite!r} requires map {' or '.join(allowed)}")
 
 
@@ -278,6 +278,52 @@ def verify_length_decrease(
     return result
 
 
+# Suite name -> (maps it applies to, runner).
+SUITES: dict[str, tuple[tuple[str, ...], Callable[[MapDefinition, endo.VirtualEndo, int], SuiteResult]]] = {
+    "table7": (("rabbit",), lambda mapdef, psi, n_max: verify_nucleus_table(mapdef, psi)),
+    "recursions": (("rabbit", "dendrite"), lambda mapdef, psi, n_max: verify_recursions(mapdef, psi)),
+    "prop84": (("dendrite",), lambda mapdef, psi, n_max: verify_section(mapdef, psi, n_max=n_max)),
+    "lemma83": (("dendrite",), lambda mapdef, psi, n_max: verify_length_decrease(mapdef, psi)),
+}
+
+
+def _trivial_within_bound(system: PullbackSystem, curve: Curve, cls: Classification) -> str | None:
+    if isinstance(cls, EventuallyTrivial):
+        bound = 4 * geodesic_length(curve.conjugator, [system.mapdef.third_axis]) + 3
+        if cls.steps > bound:
+            return f"trivial after {cls.steps} steps, bound {bound}"
+    return None
+
+
+def _never_cycles(system: PullbackSystem, curve: Curve, cls: Classification) -> str | None:
+    return "enters a cycle, expected trivial" if isinstance(cls, EntersCycle) else None
+
+
+_AXIS_CURVES = frozenset(Curve(i, Word.identity()) for i in range(3))
+
+
+def _cycle_is_axes(system: PullbackSystem, curve: Curve, cls: Classification) -> str | None:
+    if isinstance(cls, EntersCycle) and frozenset(cls.cycle) != _AXIS_CURVES:
+        return "unexpected cycle " + " -> ".join(system.format_curve(c) for c in cls.cycle)
+    return None
+
+
+# What the paper proves about every curve's orbit, checked by ``sweep``:
+# name -> (maps it applies to, check).  A check returns what is wrong
+# with one curve's classification, or None.
+SweepCheck = Callable[[PullbackSystem, Curve, Classification], str | None]
+SWEEP_FACTS: dict[str, tuple[tuple[str, ...], SweepCheck]] = {
+    "trivial within 4|w|+3 steps": (("dendrite",), _trivial_within_bound),
+    "never enters a cycle": (("dendrite",), _never_cycles),
+    "the only cycle is the axis 3-cycle": (("rabbit",), _cycle_is_axes),
+}
+
+
+def sweep_facts(mapdef: MapDefinition) -> list[SweepCheck]:
+    """The sweep checks that apply to the map, in table order."""
+    return [check for maps, check in SWEEP_FACTS.values() if applies(maps, mapdef)]
+
+
 def run_suite(
     suite: str,
     mapdef: MapDefinition,
@@ -287,24 +333,13 @@ def run_suite(
 ) -> list[SuiteResult]:
     """Run one named suite, or all suites applicable to the map."""
     system = system or PullbackSystem(mapdef)
-    psi = system.psi
     if suite == "all":
-        names = [s for s in SUITE_NAMES if mapdef.name in SUITE_MAPS[s]]
+        names = [s for s, (maps, _) in SUITES.items() if applies(maps, mapdef)]
         if not names:
             raise SuiteError(f"no verification suites apply to map {mapdef.name!r}")
     else:
-        if suite not in SUITE_NAMES:
-            raise SuiteError(f"unknown suite {suite!r}; have {SUITE_NAMES + ('all',)}")
+        if suite not in SUITES:
+            raise SuiteError(f"unknown suite {suite!r}; have {tuple(SUITES) + ('all',)}")
         _require(suite, mapdef)
         names = [suite]
-    out = []
-    for name in names:
-        if name == "table7":
-            out.append(verify_nucleus_table(mapdef, psi))
-        elif name == "recursions":
-            out.append(verify_recursions(mapdef, psi))
-        elif name == "prop84":
-            out.append(verify_section(mapdef, psi, n_max=n_max))
-        elif name == "lemma83":
-            out.append(verify_length_decrease(mapdef, psi))
-    return out
+    return [SUITES[name][1](mapdef, system.psi, n_max) for name in names]

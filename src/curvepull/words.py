@@ -9,32 +9,7 @@ literal equality of tuples.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
-
-
-class Letter(NamedTuple):
-    """A single generator or inverse generator."""
-
-    gen: int  # generator index, 0 or 1
-    sign: int  # +1 or -1
-
-    def code(self) -> int:
-        return (self.gen + 1) * self.sign
-
-
-def letter(gen: int, sign: int) -> int:
-    """Encode (generator index, sign) as a letter code."""
-    if gen not in (0, 1):
-        raise ValueError(f"generator index must be 0 or 1, got {gen}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return (gen + 1) * sign
-
-
-def decode(code: int) -> Letter:
-    if code == 0 or abs(code) > 2:
-        raise ValueError(f"bad letter code {code}")
-    return Letter(abs(code) - 1, 1 if code > 0 else -1)
+from typing import Iterable, Iterator, Mapping
 
 
 def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
@@ -68,15 +43,8 @@ class Word:
             self.codes = _reduce_codes(codes)
 
     @classmethod
-    def from_letters(cls, letters: Iterable[Letter]) -> "Word":
-        return cls(l.code() for l in letters)
-
-    @classmethod
     def identity(cls) -> "Word":
         return _IDENTITY
-
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(decode(c) for c in self.codes)
 
     def is_identity(self) -> bool:
         return not self.codes
@@ -138,36 +106,11 @@ class CyclicWord(Word):
         if len(self.codes) >= 2 and self.codes[0] == -self.codes[-1]:
             raise ValueError(f"not cyclically reduced: {self.codes}")
 
-    def rotations(self) -> list[tuple[int, ...]]:
-        c = self.codes
-        return [c[i:] + c[:i] for i in range(max(len(c), 1))]
-
-
-# -- module-level operations ---------------------------------------------------------
-
-
-def reduce(raw: Iterable[int | Letter]) -> Word:
-    """Freely reduce a raw sequence of letters or letter codes."""
-    return Word(c.code() if isinstance(c, Letter) else c for c in raw)
-
-
-def mul(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def inv(u: Word) -> Word:
-    return ~u
-
-
-def conj(u: Word, w: Word) -> Word:
-    """Conjugation as a right action: u^w = w^-1 u w."""
-    return u.conj(w)
-
 
 def cyclic_reduce(u: Word) -> tuple[CyclicWord, Word]:
     """Split u as core^conjugator with the core cyclically reduced.
 
-    Returns (core, conjugator) with ``conj(core, conjugator) == u``
+    Returns (core, conjugator) with ``core.conj(conjugator) == u``
     exactly.  The identity has no core and is rejected.
     """
     if u.is_identity():

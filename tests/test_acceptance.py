@@ -130,7 +130,7 @@ def test_criterion_03_three_cycle():
 def test_criterion_04_rabbit_sweep():
     system = PullbackSystem(builtin("rabbit"))
     t0 = time.perf_counter()
-    data = run_sweep(system, 8, 1000, jobs=1)
+    data = run_sweep(system, 8, 1000)
     elapsed = time.perf_counter() - t0
     n = len(data["curves"])
     unresolved = sum(c for (kind, _), c in data["histogram"].items() if kind == "unresolved")
@@ -151,7 +151,7 @@ def test_criterion_04_rabbit_sweep():
 def test_criterion_05_dendrite_sweep():
     system = PullbackSystem(builtin("dendrite"))
     t0 = time.perf_counter()
-    data = run_sweep(system, 8, 1000, jobs=1)
+    data = run_sweep(system, 8, 1000)
     elapsed = time.perf_counter() - t0
     n = len(data["curves"])
     all_trivial = all(kind == "trivial" for (kind, _) in data["histogram"])

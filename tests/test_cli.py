@@ -142,24 +142,27 @@ def test_sweep_dendrite_len0(capsys):
     assert all(h["kind"] == "trivial" and h["steps"] <= 3 for h in hist)
 
 
-def test_sweep_reports_obstruction(capsys, tmp_path):
-    # the identity endomorphism fixes every axis twist, so each axis
-    # curve is an invariant cycle of weight product >= 1
+def test_sweep_reports_obstruction(capsys, tmp_path, fixed_map_text):
+    # each axis curve is an invariant cycle of weight product >= 1
     f = tmp_path / "fixed.map"
-    f.write_text(
-        """\
-map fixed
-gen x parity 0
-gen y parity 1
-axis z = y^-1 x^-1
-schreier x -> x
-schreier y y -> y y
-schreier y^-1 x y -> y^-1 x y
-"""
-    )
+    f.write_text(fixed_map_text)
     code, out, _ = run(capsys, "sweep", "--map", str(f), "--max-len", "0", "--jobs", "1")
     assert code == 1
     assert out.count("obstruction") == 3
+
+
+def test_sweep_paper_facts_follow_the_map_name(capsys, tmp_path, fixed_map_text):
+    # A map gets the sweep facts listed under its `map` name, as it gets the
+    # verify suites: the fixed map named dendrite breaks "never enters a
+    # cycle" on every curve, under its own name it gets the generic checks.
+    f = tmp_path / "fixed.map"
+    f.write_text(fixed_map_text.replace("map fixed", "map dendrite"))
+    code, out, _ = run(capsys, "sweep", "--map", str(f), "--max-len", "0")
+    assert code == 1
+    assert out.count("obstruction") == out.count("enters a cycle, expected trivial") == 3
+    f.write_text(fixed_map_text)
+    _, out, _ = run(capsys, "sweep", "--map", str(f), "--max-len", "0")
+    assert "expected trivial" not in out
 
 
 def test_sweep_parallel_matches_serial(capsys):

@@ -13,7 +13,7 @@ from curvepull.curves import (
     _reduced_words,
 )
 from curvepull.endo import section_conjugator
-from curvepull.mapdef import parse_mapdef
+from curvepull.mapdef import builtin, parse_mapdef
 from curvepull.words import Word
 
 
@@ -202,6 +202,30 @@ def test_orbit_unresolved(rabbit_system):
     assert isinstance(result.classification, Unresolved)
     with pytest.raises(ValueError):
         rabbit_system.orbit(Curve(0, Word.identity()), 0)
+
+
+@pytest.mark.parametrize("map_name", ["rabbit", "dendrite", "fixed"])
+def test_classify_matches_orbit(map_name, fixed_map_text, monkeypatch):
+    mapdef = parse_mapdef(fixed_map_text) if map_name == "fixed" else builtin(map_name)
+    system = PullbackSystem(mapdef)
+    curves = system.enumerate_curves(4)
+    # non-canonical spellings are canonicalized first, as orbit does
+    curves += [Curve(c.axis, system.axis_words[c.axis] * c.conjugator) for c in curves[:30]]
+    pulled = []
+    pullback = PullbackSystem.pullback
+
+    def counted(self, curve):
+        pulled.append(curve)
+        return pullback(self, curve)
+
+    monkeypatch.setattr(PullbackSystem, "pullback", counted)
+    for max_steps in (1, 2, 3, 5, 1000):
+        want = [system.orbit(c, max_steps).classification for c in curves]
+        pulled.clear()
+        assert system.classify(curves, max_steps) == want
+        assert len(pulled) == len(set(pulled))
+    with pytest.raises(ValueError):
+        system.classify(curves, 0)
 
 
 def test_enumerate_axis_count(rabbit_system):

@@ -1,16 +1,23 @@
+from fractions import Fraction
+
 import pytest
 
+from curvepull.curves import Curve, EntersCycle, EventuallyTrivial
 from curvepull.endo import VirtualEndo
+from curvepull.mapdef import BUILTIN_TEXTS, builtin, parse_mapdef
 from curvepull.verify import (
     NUCLEUS_ORDER,
     NUCLEUS_PAIR_TABLE,
+    SWEEP_FACTS,
     SuiteError,
     run_suite,
+    sweep_facts,
     verify_length_decrease,
     verify_nucleus_table,
     verify_recursions,
     verify_section,
 )
+from curvepull.words import Word
 
 
 def test_table_shape():
@@ -85,3 +92,30 @@ def test_run_all(rabbit, dendrite):
     assert names == ["table7", "recursions"]
     names = [r.suite for r in run_suite("all", dendrite, n_max=3)]
     assert names == ["recursions", "prop84", "lemma83"]
+
+
+def test_sweep_facts_follow_the_map_name():
+    rabbit_facts = [SWEEP_FACTS["the only cycle is the axis 3-cycle"][1]]
+    dendrite_facts = [SWEEP_FACTS[name][1] for name in ("trivial within 4|w|+3 steps", "never enters a cycle")]
+    assert sweep_facts(builtin("rabbit")) == rabbit_facts
+    assert sweep_facts(builtin("dendrite")) == dendrite_facts
+    # the rule is the `map` name, as for the verify suites
+    assert sweep_facts(parse_mapdef(BUILTIN_TEXTS["rabbit"])) == rabbit_facts
+    bunny = parse_mapdef(BUILTIN_TEXTS["rabbit"].replace("map rabbit", "map bunny"))
+    assert sweep_facts(bunny) == []
+
+
+def test_sweep_facts_flag_what_the_paper_excludes(rabbit_system, dendrite_system):
+    bound, never_cycles = sweep_facts(dendrite_system.mapdef)
+    b = Curve(1, Word.identity())
+    assert bound(dendrite_system, b, EventuallyTrivial(3)) is None
+    assert bound(dendrite_system, b, EventuallyTrivial(4)) == "trivial after 4 steps, bound 3"
+    assert never_cycles(dendrite_system, b, EventuallyTrivial(4)) is None
+    loop = EntersCycle(0, (b,), (Fraction(1),))
+    assert never_cycles(dendrite_system, b, loop) == "enters a cycle, expected trivial"
+
+    (axis_cycle,) = sweep_facts(rabbit_system.mapdef)
+    x, y, z = (Curve(i, Word.identity()) for i in range(3))
+    half = Fraction(1, 2)
+    assert axis_cycle(rabbit_system, x, EntersCycle(0, (y, z, x), (half, half, Fraction(1)))) is None
+    assert axis_cycle(rabbit_system, x, EntersCycle(0, (x, y), (half, half))) == "unexpected cycle x -> y"
