@@ -200,12 +200,14 @@ def cmd_spectra(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     lines = []
     report_inputs: dict = {"tol": args.tol}
-    cycle_product = None
     if args.matrix:
         with open(args.matrix, encoding="utf-8") as fh:
             matrix = spectra.parse_matrix(fh.read())
         report_inputs["matrix"] = args.matrix
         lines.append(f"matrix: {args.matrix} ({matrix.n}x{matrix.n})")
+        lam = spectra.leading_eigenvalue(matrix, tol=args.tol)
+        contracting = spectra.is_contracting(matrix)
+        cycle_results = {}
     else:
         mapdef = load_map(args.map)
         system = PullbackSystem(mapdef)
@@ -216,29 +218,24 @@ def cmd_spectra(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"orbit of {args.cycle_of!r} does not enter a cycle (classification: {cls.kind})"
             )
-        p = len(cls.cycle)
-        rows = [[Fraction(0)] * p for _ in range(p)]
-        for i, w in enumerate(cls.cycle_weights):
-            rows[(i + 1) % p][i] = w
-        matrix = spectra.RationalMatrix.from_rows(rows)
-        cycle_product = cls.weight_product
+        # The cycle matrix is a weighted p-cycle: rho^p is its weight product.
+        product, p = cls.weight_product, len(cls.cycle)
+        lam = float(product) ** (1 / p)
+        contracting = product < 1
+        cycle_results = {"cycle_weight_product": _frac(product), "cycle_length": p}
         report_inputs.update({"map": mapdef.name, "curve": args.cycle_of})
         lines.append(f"map: {mapdef.name}")
         lines.append(
             "cycle: " + " -> ".join(system.format_curve(c) for c in cls.cycle)
         )
-        lines.append(f"cycle weight product: {_frac(cycle_product)}")
-    lam = spectra.leading_eigenvalue(matrix, tol=args.tol)
-    contracting = spectra.is_contracting(matrix)
+        lines.append(f"cycle weight product: {_frac(product)}")
     lines.append(f"leading eigenvalue: {lam:.12g}")
     lines.append(f"contracting: {'true' if contracting else 'false'}")
     results = {
         "leading_eigenvalue": lam,
         "contracting": contracting,
+        **cycle_results,
     }
-    if cycle_product is not None:
-        results["cycle_weight_product"] = _frac(cycle_product)
-        results["cycle_length"] = matrix.n
     report = {
         "command": "spectra",
         "inputs": report_inputs,
@@ -320,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectra.add_argument("--cycle-of", dest="cycle_of", help="curve whose orbit cycle matrix to analyze")
     p_spectra.add_argument("--map", help="map for --cycle-of")
     p_spectra.add_argument("--max-steps", type=int, default=1000)
-    p_spectra.add_argument("--tol", type=float, default=1e-10)
+    p_spectra.add_argument("--tol", type=float, default=1e-10, help="stopping threshold of the --matrix power iteration")
     p_spectra.add_argument("--format", choices=("text", "json"), default="text")
     p_spectra.set_defaults(func=cmd_spectra)
 

@@ -59,7 +59,8 @@ class Word:
         return isinstance(other, Word) and self.codes == other.codes
 
     def __hash__(self) -> int:
-        return hash(self.codes)
+        # hash(-1) == hash(-2) in CPython; shift the letters to 0, 1, 3, 4.
+        return hash(tuple(map((2).__add__, self.codes)))
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -74,13 +75,13 @@ class Word:
         return Word(tuple(-c for c in reversed(self.codes)), _reduced=True)
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
+        if n == 0 or not self.codes:
             return _IDENTITY
         base = self if n > 0 else ~self
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        if base.codes[0] != -base.codes[-1]:
+            return Word(base.codes * abs(n), _reduced=True)
+        core, conjugator = cyclic_reduce(base)
+        return Word(core.codes * abs(n), _reduced=True).conj(conjugator)
 
     def conj(self, w: "Word") -> "Word":
         return ~w * self * w
@@ -206,7 +207,7 @@ def parse_word(text: str, names: Mapping[str, Word]) -> Word:
     ``1`` denotes the identity.  ``names`` maps each accepted token name
     to its expansion, so derived names parse transparently.
     """
-    out = Word.identity()
+    codes: list[int] = []
     for token in text.split():
         if token == "1":
             continue
@@ -224,8 +225,8 @@ def parse_word(text: str, names: Mapping[str, Word]) -> Word:
                 raise WordSyntaxError(f"zero exponent in token {token!r}", token=token)
         else:
             exp = 1
-        out = out * names[name] ** exp
-    return out
+        codes.extend((names[name] ** exp).codes)
+    return Word(codes)
 
 
 def format_word(u: Word, gen_names: tuple[str, str]) -> str:

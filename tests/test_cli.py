@@ -185,6 +185,16 @@ def test_spectra_matrix_file(capsys, tmp_path):
     assert code == 0
     assert doc["results"]["contracting"] is False
 
+    # a 16-cycle with weight product 1/2 still gets an eigenvalue and verdict
+    rows = [["0"] * 16 for _ in range(16)]
+    for i in range(16):
+        rows[(i + 1) % 16][i] = "1/2" if i == 0 else "1"
+    f.write_text("16\n" + "\n".join(" ".join(r) for r in rows) + "\n")
+    code, doc = run_json(capsys, "spectra", "--matrix", str(f))
+    assert code == 0
+    assert doc["results"]["contracting"] is True
+    assert abs(doc["results"]["leading_eigenvalue"] - 0.5 ** (1 / 16)) < 1e-9
+
 
 def test_spectra_cycle_of(capsys):
     code, doc = run_json(
@@ -194,8 +204,11 @@ def test_spectra_cycle_of(capsys):
     res = doc["results"]
     assert res["cycle_weight_product"] == "1/4"
     assert res["cycle_length"] == 3
-    assert abs(res["leading_eigenvalue"] - 0.25 ** (1 / 3)) < 1e-9
+    assert res["leading_eigenvalue"] == float(Fraction(1, 4)) ** (1 / 3)
     assert res["contracting"] is True
+    code, out, _ = run(capsys, "spectra", "--cycle-of", "x", "--map", "rabbit")
+    assert code == 0
+    assert "leading eigenvalue: 0.629960524947\n" in out
 
 
 def test_spectra_cycle_of_trivial_orbit(capsys):

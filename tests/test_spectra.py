@@ -38,11 +38,36 @@ def test_leading_eigenvalue_permutation():
 
 
 def test_leading_eigenvalue_rabbit_cycle():
-    # the cycle matrix is imprimitive with period 3; the window estimate
-    # still converges to the cube root of the cycle weight product
+    # the cycle matrix is imprimitive with period 3; power iteration on
+    # I + A still converges to the cube root of the cycle weight product
     lam = leading_eigenvalue(RABBIT_CYCLE, tol=1e-12)
     assert abs(lam - 0.25 ** (1 / 3)) < 1e-9
     assert abs(lam ** 3 - 0.25) < 1e-9
+
+
+def _weighted_cycle(weights):
+    p = len(weights)
+    rows = [[0] * p for _ in range(p)]
+    for i, w in enumerate(weights):
+        rows[(i + 1) % p][i] = w
+    return RationalMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "a, rho",
+    [
+        *(
+            pytest.param(_weighted_cycle([Fraction(1, 2)] + [1] * (p - 1)), 0.5 ** (1 / p), id=f"period{p}")
+            for p in (11, 12, 16, 30)
+        ),
+        # the first two estimates of this 4-cycle agree at 1.25
+        pytest.param(
+            _weighted_cycle([1, Fraction(1, 2), Fraction(3, 2), 2]), 1.5 ** (1 / 4), id="4cycle-product-3/2"
+        ),
+    ],
+)
+def test_leading_eigenvalue_long_and_uneven_cycles(a, rho):
+    assert abs(leading_eigenvalue(a) - rho) < 1e-9
 
 
 def test_leading_eigenvalue_diagonal():
@@ -52,6 +77,8 @@ def test_leading_eigenvalue_diagonal():
 
 def test_leading_eigenvalue_zero_matrix():
     assert leading_eigenvalue(RationalMatrix.from_rows([[0, 0], [0, 0]])) == 0.0
+    # nilpotent: iteration on I + A alone would only creep toward 0
+    assert leading_eigenvalue(RationalMatrix.from_rows([[0, 5], [0, 0]])) == 0.0
 
 
 def test_leading_eigenvalue_nonconvergence_names_cap():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -98,6 +99,35 @@ def test_powers():
     assert W("x") ** 3 == W("x x x")
     assert W("x y") ** -2 == W("y^-1 x^-1 y^-1 x^-1")
     assert W("x") ** 0 == Word.identity()
+    assert W("y x y^-1") ** 3 == W("y x x x y^-1")
+    assert W("y x y^-1") ** -2 == W("y x^-1 x^-1 y^-1")
+    assert Word.identity() ** 5 == Word.identity()
+    rng = random.Random(97)
+    for _ in range(2_000):
+        u = random_reduced(rng, 12)
+        n = rng.randint(-4, 4)
+        base = u if n >= 0 else ~u
+        assert u ** n == Word(base.codes * abs(n))
+
+
+def test_long_powers_and_literals_take_linear_time():
+    start = time.perf_counter()
+    assert Word((2,)) ** 20000 == Word((2,) * 20000)
+    assert W("y^20000") == Word((2,) * 20000)
+    assert W("x y^9000 x^-1") ** 3 == Word((1,) + (2,) * 27000 + (-1,))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_hashes_distinct_on_short_words():
+    # CPython hashes -1 and -2 alike, so hashing the raw letter tuple
+    # collides whenever x^-1 and y^-1 are swapped
+    words = [Word()]
+    layer = [()]
+    for _ in range(6):
+        layer = [w + (c,) for w in layer for c in (1, -1, 2, -2) if not w or w[-1] != -c]
+        words += [Word(w) for w in layer]
+    assert len(words) == 1457
+    assert len({hash(w) for w in words}) == len(words)
 
 
 def test_cyclic_reduce_examples():
