@@ -3,7 +3,7 @@
 The decision rho(A) < 1 is made in exact arithmetic: for nonnegative A
 it holds iff I - A is invertible with entrywise nonnegative inverse
 (equivalently, the Neumann series sum A^k converges).  A floating-point
-power iteration on I + A provides the leading-eigenvalue estimate, and an
+shifted power iteration provides the leading-eigenvalue estimate, and an
 exact integer growth-rate estimator serves as an independent oracle for it.
 """
 
@@ -86,18 +86,19 @@ def leading_eigenvalue(
     tol: float = 1e-10,
     max_iter: int = 100_000,
 ) -> float:
-    """Spectral radius by power iteration on I + A from the all-ones vector.
+    """Spectral radius by power iteration on (lam/4) I + A, lam the current
+    estimate, from the all-ones vector.
 
-    For nonnegative A, rho(A) + 1 is the only eigenvalue of I + A of that
-    modulus, so the iteration converges for every period of an imprimitive
-    matrix, cycle matrices included.  Each iterate v is L1-normalized and
-    the estimate is |A v|_1.  ``tol`` is the stopping threshold on the L1
-    distance between successive iterates.
+    For any s > 0, rho(A) + s is the only eigenvalue of s I + A of that
+    modulus, so this converges for every period of an imprimitive matrix,
+    and a shift scaled with the estimate makes it independent of A's scale.
+    Iterates v are L1-normalized and the estimate is |A v|_1.  ``tol`` is
+    the stopping threshold on the largest coordinate change of v.
     """
     n = a.n
     rows = [[(j, float(e)) for j, e in enumerate(row) if e] for row in a.entries]
-    # A nilpotent matrix (A^n 1 = 0) has rho = 0, which the iteration on
-    # I + A would only approach like 1/k.
+    # A nilpotent matrix (A^n 1 = 0) has rho = 0: the estimate would only
+    # creep toward it, and A = 0 would leave a zero shift to divide by.
     v = [1.0] * n
     for _ in range(n):
         v = [sum(e * v[j] for j, e in row) for row in rows]
@@ -109,8 +110,10 @@ def leading_eigenvalue(
     for _ in range(max_iter):
         av = [sum(e * v[j] for j, e in row) for row in rows]
         lam = sum(av)
-        nxt = [(x + y) / (1.0 + lam) for x, y in zip(v, av)]
-        if sum(abs(x - y) for x, y in zip(nxt, v)) <= tol:
+        # a smaller shift damps a cycle's rotation more slowly, a larger one
+        # slows the 1/k convergence of a defective dominant eigenvalue
+        nxt = [(x + 4.0 * y / lam) / 5.0 for x, y in zip(v, av)]
+        if max(abs(x - y) for x, y in zip(nxt, v)) <= tol:
             return lam
         v = nxt
     raise ArithmeticError(

@@ -195,6 +195,13 @@ def test_spectra_matrix_file(capsys, tmp_path):
     assert doc["results"]["contracting"] is True
     assert abs(doc["results"]["leading_eigenvalue"] - 0.5 ** (1 / 16)) < 1e-9
 
+    # rho far below 1 still converges and keeps its verdict
+    f.write_text("2\n1/1000 0\n0 9/10000\n")
+    code, doc = run_json(capsys, "spectra", "--matrix", str(f))
+    assert code == 0
+    assert doc["results"]["contracting"] is True
+    assert doc["results"]["leading_eigenvalue"] == pytest.approx(1e-3, rel=1e-9)
+
 
 def test_spectra_cycle_of(capsys):
     code, doc = run_json(

@@ -38,8 +38,8 @@ def test_leading_eigenvalue_permutation():
 
 
 def test_leading_eigenvalue_rabbit_cycle():
-    # the cycle matrix is imprimitive with period 3; power iteration on
-    # I + A still converges to the cube root of the cycle weight product
+    # the cycle matrix is imprimitive with period 3; shifted power
+    # iteration still converges to the cube root of the cycle weight product
     lam = leading_eigenvalue(RABBIT_CYCLE, tol=1e-12)
     assert abs(lam - 0.25 ** (1 / 3)) < 1e-9
     assert abs(lam ** 3 - 0.25) < 1e-9
@@ -54,20 +54,38 @@ def _weighted_cycle(weights):
 
 
 @pytest.mark.parametrize(
-    "a, rho",
+    "a, rho, rel",
     [
         *(
-            pytest.param(_weighted_cycle([Fraction(1, 2)] + [1] * (p - 1)), 0.5 ** (1 / p), id=f"period{p}")
+            pytest.param(_weighted_cycle([Fraction(1, 2)] + [1] * (p - 1)), 0.5 ** (1 / p), 1e-9, id=f"period{p}")
             for p in (11, 12, 16, 30)
         ),
         # the first two estimates of this 4-cycle agree at 1.25
         pytest.param(
-            _weighted_cycle([1, Fraction(1, 2), Fraction(3, 2), 2]), 1.5 ** (1 / 4), id="4cycle-product-3/2"
+            _weighted_cycle([1, Fraction(1, 2), Fraction(3, 2), 2]), 1.5 ** (1 / 4), 1e-9, id="4cycle-product-3/2"
         ),
+        pytest.param(
+            _weighted_cycle([10000, 12000, 9000, 11000]), (10000 * 12000 * 9000 * 11000) ** (1 / 4), 1e-9,
+            id="4cycle-weights-near-1e4",
+        ),
+        pytest.param(
+            RationalMatrix.from_rows([[Fraction(1, 1000), 0], [0, Fraction(9, 10000)]]), 1e-3, 1e-9, id="diag-1/1000"
+        ),
+        # a defective dominant eigenvalue: the iterate converges only like 1/k
+        pytest.param(RationalMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(1, 2)]]), 0.5, 1e-4, id="jordan-1/2"),
     ],
 )
-def test_leading_eigenvalue_long_and_uneven_cycles(a, rho):
-    assert abs(leading_eigenvalue(a) - rho) < 1e-9
+def test_leading_eigenvalue_slow_cases(a, rho, rel):
+    assert leading_eigenvalue(a) == pytest.approx(rho, rel=rel)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 1000), Fraction(1), Fraction(1000)], ids=["1/1000", "1", "1000"])
+def test_leading_eigenvalue_scales_with_the_matrix(c):
+    rng = random.Random(32)
+    dense = RationalMatrix.from_rows([[Fraction(rng.randint(1, 9), 7) for _ in range(5)] for _ in range(5)])
+    for a in (RABBIT_CYCLE, _weighted_cycle([1, Fraction(1, 2), Fraction(3, 2), 2]), dense):
+        scaled = RationalMatrix.from_rows([[c * e for e in row] for row in a.entries])
+        assert leading_eigenvalue(scaled) == pytest.approx(float(c) * leading_eigenvalue(a), rel=1e-9)
 
 
 def test_leading_eigenvalue_diagonal():
@@ -77,7 +95,7 @@ def test_leading_eigenvalue_diagonal():
 
 def test_leading_eigenvalue_zero_matrix():
     assert leading_eigenvalue(RationalMatrix.from_rows([[0, 0], [0, 0]])) == 0.0
-    # nilpotent: iteration on I + A alone would only creep toward 0
+    # nilpotent: the shifted iteration alone would only creep toward 0
     assert leading_eigenvalue(RationalMatrix.from_rows([[0, 5], [0, 0]])) == 0.0
 
 
