@@ -205,8 +205,13 @@ def cmd_spectra(args: argparse.Namespace) -> int:
             matrix = spectra.parse_matrix(fh.read())
         report_inputs["matrix"] = args.matrix
         lines.append(f"matrix: {args.matrix} ({matrix.n}x{matrix.n})")
-        lam = spectra.leading_eigenvalue(matrix, tol=args.tol)
         contracting = spectra.is_contracting(matrix)
+        try:
+            lam = spectra.leading_eigenvalue(matrix, tol=args.tol)
+        except ArithmeticError:
+            # a defective dominant eigenvalue can outlast the iteration cap;
+            # the exact verdict does not depend on the estimate
+            lam = None
         cycle_results = {}
     else:
         mapdef = load_map(args.map)
@@ -229,7 +234,7 @@ def cmd_spectra(args: argparse.Namespace) -> int:
             "cycle: " + " -> ".join(system.format_curve(c) for c in cls.cycle)
         )
         lines.append(f"cycle weight product: {_frac(product)}")
-    lines.append(f"leading eigenvalue: {lam:.12g}")
+    lines.append(f"leading eigenvalue: {'not converged' if lam is None else format(lam, '.12g')}")
     lines.append(f"contracting: {'true' if contracting else 'false'}")
     results = {
         "leading_eigenvalue": lam,

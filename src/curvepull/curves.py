@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .endo import VirtualEndo
 from .mapdef import MapDefinition
@@ -117,6 +117,11 @@ class PullbackSystem:
         self.mapdef = mapdef
         self.psi = psi if psi is not None else mapdef.endomorphism()
         self.axis_words = mapdef.axis_words
+        # Each axis word and its inverse, as letters, for canonical forms.
+        self._axis_codes = [(aw.codes, (~aw).codes) for aw in self.axis_words]
+        # A conjugate of an axis has the axis's parity (theta maps to an
+        # abelian group), so the parity decides the liftable power s.
+        self._axis_parity = [self.psi.parity.theta(aw) for aw in self.axis_words]
         # Rotations of each axis word and its inverse, with the rotating
         # prefix, for matching primitive roots to axes.
         self._rotations: dict[tuple[int, ...], tuple[int, Word]] = {}
@@ -133,29 +138,32 @@ class PullbackSystem:
         """Quotient out axis powers: the minimal-length element of
         <axis> * conjugator, ties broken lexicographically.
 
-        The length of axis^k * conjugator is V-shaped in k: the boundary
-        cancellation is exactly min(k*|axis|, prefix agreement with the
-        axis power), so only the integers beside the valley can attain
-        the minimum.
+        Let u be the axis word, cyclically reduced of length m, and d the
+        prefix agreement of the conjugator w with (u^-1)^infinity.  Then
+        u^k w cancels min(k*m, d) letters for k >= 0, so its length is
+        V-shaped in k.  With d = q*m + r, the minimum is u^q w, which is w
+        without its first q*m letters, if 2r < m; u^(q+1) w, which is the
+        first m - r letters of u followed by w without its first d
+        letters, if 2r > m; and the lexicographically smaller of the two
+        if 2r == m.  If d is 0, the same holds for negative k with u and
+        u^-1 swapped.  Both are slices of reduced words, so neither needs
+        a product or a reduction.
         """
-        u = self.axis_words[axis]
-        w = conjugator
-        m = len(u)
-        candidates = {0}
-        d = _power_prefix(w.codes, (~u).codes)
-        if d:
-            candidates.update((d // m - 1, d // m, d // m + 1))
-        d = _power_prefix(w.codes, u.codes)
-        if d:
-            candidates.update((-(d // m) - 1, -(d // m), -(d // m) + 1))
-        best = None
-        best_key = None
-        for k in sorted(candidates):
-            cand = u ** k * w
-            key = _lex_key(cand.codes)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
-        return Curve(axis, best)
+        codes = conjugator.codes
+        block, stream = self._axis_codes[axis]
+        d = _power_prefix(codes, stream)
+        if not d:
+            stream, block = block, stream
+            d = _power_prefix(codes, stream)
+        m = len(block)
+        q, r = divmod(d, m)
+        if 2 * r < m:
+            best = codes[q * m :]
+        elif 2 * r > m:
+            best = block[: m - r] + codes[d:]
+        else:
+            best = min(codes[q * m :], block[: m - r] + codes[d:], key=_lex_key)
+        return Curve(axis, conjugator if best == codes else Word(best, _reduced=True))
 
     def twist_word(self, curve: Curve, n: int = 1) -> Word:
         if n == 0:
@@ -170,9 +178,8 @@ class PullbackSystem:
     # -- pullback ------------------------------------------------------------
 
     def pullback(self, curve: Curve) -> PullbackStep:
-        g = self.twist_word(curve, 1)
-        s = 1 if self.psi.in_domain(g) else 2
-        h = self.psi.apply(g if s == 1 else g * g)
+        s = 1 + self._axis_parity[curve.axis]
+        h = self.psi.apply(self.twist_word(curve, s))
         if h.is_identity():
             return PullbackStep(None, s, 0, Fraction(0))
         core, v = cyclic_reduce(h)
@@ -273,18 +280,34 @@ class PullbackSystem:
 
     def enumerate_curves(self, max_conjugator_length: int) -> list[Curve]:
         """All canonical curves whose conjugator has reduced length at
-        most the bound, in a deterministic order."""
+        most the bound, ordered by axis, then by conjugator length, then
+        by letters in the order x, x^-1, y, y^-1.
+
+        Canonical conjugators are prefix-closed: a prefix agrees with the
+        axis powers no further than the whole word does, and a tie is
+        decided within the first |axis|/2 letters.  So each length grows
+        from the canonical conjugators one letter shorter, keeping the
+        canonical children, and every curve appears once and in order.
+        """
         if max_conjugator_length < 0:
             raise ValueError("max_conjugator_length must be >= 0")
         out: list[Curve] = []
         for axis in range(3):
-            seen: set[Curve] = set()
-            for w in _reduced_words(max_conjugator_length):
-                c = self.canonicalize(axis, w)
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-        out.sort(key=lambda c: (c.axis, _lex_key(c.conjugator.codes)))
+            layer = [Curve(axis, Word.identity())]
+            out.extend(layer)
+            for _ in range(max_conjugator_length):
+                grown: list[Curve] = []
+                for parent in layer:
+                    codes = parent.conjugator.codes
+                    for c in (1, -1, 2, -2):
+                        if codes and codes[-1] == -c:
+                            continue
+                        child = Word(codes + (c,), _reduced=True)
+                        curve = self.canonicalize(axis, child)
+                        if curve.conjugator == child:
+                            grown.append(curve)
+                layer = grown
+                out.extend(layer)
         return out
 
     # -- parsing and formatting ----------------------------------------------
@@ -308,18 +331,3 @@ class PullbackSystem:
             return name
         return f"{name}^({self.mapdef.format(curve.conjugator)})"
 
-
-def _reduced_words(max_length: int) -> Iterator[Word]:
-    """All freely reduced words of length <= max_length, shortest first."""
-    yield Word.identity()
-    layer: list[tuple[int, ...]] = [()]
-    for _ in range(max_length):
-        nxt: list[tuple[int, ...]] = []
-        for codes in layer:
-            for c in (1, -1, 2, -2):
-                if codes and codes[-1] == -c:
-                    continue
-                grown = codes + (c,)
-                nxt.append(grown)
-                yield Word(grown, _reduced=True)
-        layer = nxt

@@ -69,7 +69,13 @@ class Word:
             return other
         if not other.codes:
             return self
-        return Word(self.codes + other.codes)
+        # Both factors are reduced, so letters cancel only at the boundary.
+        a, b = self.codes, other.codes
+        n = min(len(a), len(b))
+        k = 0
+        while k < n and a[-1 - k] == -b[k]:
+            k += 1
+        return Word(a[: len(a) - k] + b[k:], _reduced=True)
 
     def __invert__(self) -> "Word":
         return Word(tuple(-c for c in reversed(self.codes)), _reduced=True)

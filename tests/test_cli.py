@@ -203,6 +203,32 @@ def test_spectra_matrix_file(capsys, tmp_path):
     assert doc["results"]["leading_eigenvalue"] == pytest.approx(1e-3, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "text, rho, contracting",
+    [
+        pytest.param("2\n4/5 1\n0 4/5\n", 0.8, True, id="2x2-4/5"),
+        pytest.param("2\n1 1\n0 1\n", 1.0, False, id="2x2-1"),
+        pytest.param("3\n1/2 1 0\n0 1/2 1\n0 0 1/2\n", 0.5, True, id="3x3-1/2"),
+    ],
+)
+def test_spectra_keeps_the_exact_verdict_on_jordan_blocks(capsys, tmp_path, text, rho, contracting):
+    # the float iteration crawls like 1/k on a defective dominant
+    # eigenvalue and can hit its cap; the exact verdict is reported anyway
+    f = tmp_path / "m.mat"
+    f.write_text(text)
+    code, out, _ = run(capsys, "spectra", "--matrix", str(f))
+    assert code == 0
+    eigen_line, verdict_line = out.splitlines()[-2:]
+    assert verdict_line == f"contracting: {'true' if contracting else 'false'}"
+    code, doc = run_json(capsys, "spectra", "--matrix", str(f))
+    assert code == 0 and doc["results"]["contracting"] is contracting
+    lam = doc["results"]["leading_eigenvalue"]
+    if eigen_line == "leading eigenvalue: not converged":
+        assert lam is None
+    else:
+        assert abs(lam - rho) < 1e-3
+
+
 def test_spectra_cycle_of(capsys):
     code, doc = run_json(
         capsys, "spectra", "--cycle-of", "x", "--map", "rabbit", "--tol", "1e-12"

@@ -10,7 +10,7 @@ from curvepull.curves import (
     PullbackError,
     PullbackSystem,
     Unresolved,
-    _reduced_words,
+    _lex_key,
 )
 from curvepull.endo import section_conjugator
 from curvepull.mapdef import builtin, parse_mapdef
@@ -56,21 +56,56 @@ def test_canonicalize_idempotent(rabbit_system):
 def brute_canonical(system, axis, conjugator):
     """Reference canonical form: scan every axis power in a window wide
     enough to contain all minimal-length coset elements."""
-    from curvepull.curves import _lex_key
-
     u = system.axis_words[axis]
     span = 2 * len(conjugator) // len(u) + 2
     candidates = [u ** k * conjugator for k in range(-span, span + 1)]
     return Curve(axis, min(candidates, key=lambda w: _lex_key(w.codes)))
 
 
-def test_canonicalize_matches_brute_force(rabbit_system, dendrite_system):
+def reduced_words(max_length):
+    """All freely reduced words of length <= max_length, shortest first."""
+    yield Word.identity()
+    layer = [()]
+    for _ in range(max_length):
+        layer = [w + (c,) for w in layer for c in (1, -1, 2, -2) if not w or w[-1] != -c]
+        yield from (Word(w) for w in layer)
+
+
+def reference_enumeration(system, max_length):
+    """Canonicalize every (axis, reduced word) pair, drop repeats, sort."""
+    curves = {system.canonicalize(axis, w) for axis in range(3) for w in reduced_words(max_length)}
+    return sorted(curves, key=lambda c: (c.axis, _lex_key(c.conjugator.codes)))
+
+
+@pytest.fixture(scope="module")
+def axis_shape_systems(rabbit_system, dendrite_system, fixed_map_text):
+    """The built-in maps plus two with other third-axis shapes: x y x has
+    odd length, so canonical forms have no ties, and x y x y is a proper
+    power."""
+    systems = {"rabbit": rabbit_system, "dendrite": dendrite_system}
+    for axis in ("x y x", "x y x y"):
+        text = fixed_map_text.replace("axis z = y^-1 x^-1", f"axis z = {axis}")
+        assert text != fixed_map_text
+        systems[axis] = PullbackSystem(parse_mapdef(text))
+    return systems
+
+
+def test_canonicalize_matches_brute_force(axis_shape_systems):
     rng = random.Random(23)
-    for system in (rabbit_system, dendrite_system):
+    for system in axis_shape_systems.values():
         for _ in range(3_000):
             axis = rng.randrange(3)
             conj = random_reduced(rng, 12)
+            if rng.random() < 0.3:  # near an axis power, where agreements run long
+                conj = system.axis_words[axis] ** rng.randint(-3, 3) * random_reduced(rng, 3) * conj
             assert system.canonicalize(axis, conj) == brute_canonical(system, axis, conj)
+
+
+@pytest.mark.parametrize("name", ["rabbit", "dendrite", "x y x", "x y x y"])
+def test_enumerate_matches_reference(name, axis_shape_systems):
+    system = axis_shape_systems[name]
+    for max_length in range(7):
+        assert system.enumerate_curves(max_length) == reference_enumeration(system, max_length)
 
 
 def test_canonicalize_preserves_twist(rabbit_system):
@@ -248,7 +283,7 @@ def coset_equal(system, c1, c2):
 
 
 def test_enumerate_matches_brute_force(rabbit_system):
-    words = list(_reduced_words(2))
+    words = list(reduced_words(2))
     raw = [Curve(axis, w) for axis in range(3) for w in words]
     classes = []
     for c in raw:

@@ -121,6 +121,27 @@ def test_long_powers_and_literals_take_linear_time():
     assert time.perf_counter() - start < 2.0
 
 
+def test_products_match_the_reducing_constructor():
+    rng = random.Random(98)
+    for _ in range(2_000):
+        a = random_reduced(rng, 16)
+        # b starts by undoing a random tail of a, so cancellation at the
+        # boundary runs from none of a to all of it
+        tail = a.codes[len(a) - rng.randint(0, len(a)) :]
+        b = Word(tuple(-c for c in reversed(tail)) + random_reduced(rng, 8).codes)
+        assert a * b == Word(a.codes + b.codes)
+
+
+def test_long_products_take_linear_time():
+    # a product that cancels letter by letter and re-slices at each step
+    # is quadratic and takes minutes at these lengths; a boundary scan is linear
+    a = Word((1, 2) * 50_000)
+    start = time.perf_counter()
+    assert a * Word((~a).codes + (2,)) == Word((2,))
+    assert a * a == Word((1, 2) * 100_000)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_hashes_distinct_on_short_words():
     # CPython hashes -1 and -2 alike, so hashing the raw letter tuple
     # collides whenever x^-1 and y^-1 are swapped
