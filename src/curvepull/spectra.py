@@ -1,10 +1,11 @@
 """Exact contraction tests for nonnegative rational matrices.
 
 The decision rho(A) < 1 is made in exact arithmetic: for nonnegative A
-it holds iff I - A is invertible with entrywise nonnegative inverse
-(equivalently, the Neumann series sum A^k converges).  A floating-point
-shifted power iteration provides the leading-eigenvalue estimate, and an
-exact integer growth-rate estimator serves as an independent oracle for it.
+it holds iff every leading principal minor of I - A is positive, and
+fraction-free integer elimination reads those signs off its pivots.  A
+floating-point shifted power iteration provides the leading-eigenvalue
+estimate, and an exact integer growth-rate estimator serves as an
+independent oracle for it.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ class RationalMatrix:
         n = len(self.entries)
         if n == 0:
             raise ValueError("matrix must be nonempty")
-        for row in self.entries:
+        for i, row in enumerate(self.entries, start=1):
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            for e in row:
+            for j, e in enumerate(row, start=1):
                 if e < 0:
-                    raise ValueError(f"matrix must be nonnegative, got {e}")
+                    raise ValueError(f"row {i}, column {j}: matrix must be nonnegative, got {e}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
@@ -49,36 +50,35 @@ class RationalMatrix:
         return [sum(row[j] * v[j] for j in range(self.n)) for row in self.entries]
 
 
-def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Exact Gauss-Jordan inverse; None if singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [e / p for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def is_contracting(a: RationalMatrix) -> bool:
-    """Exact decision of rho(A) < 1 via the M-matrix characterization:
-    I - A must be invertible with nonnegative inverse."""
-    n = a.n
-    rows = [
-        [Fraction(int(i == j)) - a.entries[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    inv = _inverse(rows)
-    if inv is None:
-        return False
-    return all(e >= 0 for row in inv for e in row)
+    """Exact decision of rho(A) < 1 from the signs of the leading minors.
+
+    For nonnegative A, rho(A) < 1 iff the Z-matrix I - A is a nonsingular
+    M-matrix, iff every leading principal minor of I - A is positive
+    (Berman-Plemmons, Thm 6.2.3).  Each row of I - A is scaled by the lcm
+    of its denominators, which keeps the sign of every leading minor, and
+    fraction-free (Bareiss) elimination without pivoting then yields those
+    minors as its successive pivots; the first one that is not positive
+    decides False.
+    """
+    m = []
+    for i, row in enumerate(a.entries):
+        d = math.lcm(*(e.denominator for e in row))
+        m.append(
+            [(d if i == j else 0) - e.numerator * (d // e.denominator) for j, e in enumerate(row)]
+        )
+    prev = 1
+    for k, pivot_row in enumerate(m):
+        p = pivot_row[k]
+        if p <= 0:
+            return False
+        tail = pivot_row[k + 1:]
+        for row in m[k + 1:]:
+            f = row[k]
+            # Bareiss: the division by the previous pivot is exact
+            row[k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return True
 
 
 def leading_eigenvalue(
@@ -186,7 +186,8 @@ def contraction_coefficient_estimate(
 
 
 def parse_matrix(text: str) -> RationalMatrix:
-    """Matrix file format: first line n, then n rows of n rationals."""
+    """Matrix file format: first line n, then n rows of n nonnegative
+    rationals, each an integer, p/q or a decimal such as 0.25."""
     lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty matrix file")
@@ -203,6 +204,15 @@ def parse_matrix(text: str) -> RationalMatrix:
         parts = line.split()
         if len(parts) != n:
             raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
+        for j, p in enumerate(parts, start=1):
+            # Fraction builds 10**k for an exponent k, so a few bytes of input
+            # would take unbounded time and memory; no other entry it accepts
+            # has an e in it
+            if "e" in p or "E" in p:
+                raise ValueError(
+                    f"row {i}, column {j}: {p!r} is not an integer, p/q or decimal"
+                    " (exponent notation is not accepted)"
+                )
         try:
             rows.append([Fraction(p) for p in parts])
         except (ValueError, ZeroDivisionError) as exc:

@@ -264,6 +264,16 @@ def test_spectra_malformed_matrix(capsys, tmp_path):
     assert code == 2
     assert "expected 2 rows" in err
 
+    f.write_text("2\n1/2 0\n1e999999999 1/3\n")
+    code, _, err = run(capsys, "spectra", "--matrix", str(f))
+    assert code == 2
+    assert "row 2, column 1: '1e999999999' is not an integer, p/q or decimal (exponent notation is not accepted)" in err
+
+    f.write_text("2\n1/2 -1\n0 1/3\n")
+    code, _, err = run(capsys, "spectra", "--matrix", str(f))
+    assert code == 2
+    assert "row 1, column 2: matrix must be nonnegative, got -1" in err
+
 
 def test_mapinfo(capsys):
     code, out, _ = run(capsys, "mapinfo", "--map", "dendrite")

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,41 @@ RABBIT_CYCLE = RationalMatrix.from_rows(
 )
 
 
+def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Exact Gauss-Jordan inverse; None if singular."""
+    n = len(rows)
+    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        p = aug[col][col]
+        aug[col] = [e / p for e in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _identity_minus(a):
+    n = a.n
+    return [[Fraction(int(i == j)) - a.entries[i][j] for j in range(n)] for i in range(n)]
+
+
+def _contracting_by_inverse(a):
+    """Reference verdict: for nonnegative A, rho(A) < 1 iff I - A is
+    invertible with entrywise nonnegative inverse."""
+    inv = _inverse(_identity_minus(a))
+    return inv is not None and all(e >= 0 for row in inv for e in row)
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         RationalMatrix.from_rows([[-1]])
+    with pytest.raises(ValueError, match="row 2, column 1: matrix must be nonnegative, got -1/2"):
+        RationalMatrix.from_rows([[0, 1], [Fraction(-1, 2), -1]])
     with pytest.raises(ValueError, match="square"):
         RationalMatrix.from_rows([[1, 2]])
     with pytest.raises(ValueError, match="nonempty"):
@@ -118,6 +151,99 @@ def test_is_contracting_examples():
     assert not is_contracting(RationalMatrix.from_rows([[0, 1], [1, 0]]))
 
 
+def _stochastic_rows(rng, n, zero_frac):
+    rows = []
+    for _ in range(n):
+        weights = [0 if rng.random() < zero_frac else rng.randint(1, 9) for _ in range(n)]
+        if not any(weights):
+            weights[rng.randrange(n)] = 1
+        total = sum(weights)
+        rows.append([Fraction(w, total) for w in weights])
+    return rows
+
+
+def _permutation_rows(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+
+
+def _permuted(rng, rows):
+    """P A P^-1 for a random permutation P: same spectrum, blocks hidden."""
+    n = len(rows)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def _random_rows(rng, n):
+    return [
+        [0 if rng.random() < 0.4 else Fraction(rng.randint(1, 5), rng.randint(1, 6)) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def _block_triangular_rows(rng, n):
+    # a leading diagonal block with rho exactly 1 gives a zero leading minor
+    k = rng.randint(1, n)
+    first = _stochastic_rows(rng, k, 0.3) if rng.random() < 0.5 else _permutation_rows(rng, k)
+    second = _random_rows(rng, n - k)
+    upper = _random_rows(rng, max(k, n - k))
+    rows = [first[i] + upper[i][: n - k] for i in range(k)]
+    rows += [[0] * k + second[i] for i in range(n - k)]
+    return _permuted(rng, rows) if rng.random() < 0.5 else rows
+
+
+def _nilpotent_rows(rng, n):
+    strict = [[Fraction(rng.randint(0, 9), rng.randint(1, 3)) if j > i else 0 for j in range(n)] for i in range(n)]
+    return _permuted(rng, strict)
+
+
+def _scaled(rows, c):
+    return [[c * e for e in row] for row in rows]
+
+
+def test_is_contracting_matches_inverse_reference():
+    rng = random.Random(34)
+    families = {
+        "random": lambda n: _random_rows(rng, n),
+        "block-triangular": lambda n: _block_triangular_rows(rng, n),
+        "stochastic": lambda n: _stochastic_rows(rng, n, rng.choice([0, 0.3, 0.6])),
+        "permutation": lambda n: _permutation_rows(rng, n),
+        "stochastic*999/1000": lambda n: _scaled(_stochastic_rows(rng, n, 0.3), Fraction(999, 1000)),
+        "stochastic*1001/1000": lambda n: _scaled(_stochastic_rows(rng, n, 0.3), Fraction(1001, 1000)),
+        "nilpotent": lambda n: _nilpotent_rows(rng, n),
+    }
+    verdicts = {name: set() for name in families}
+    for name, make in families.items():
+        for _ in range(150):
+            a = RationalMatrix.from_rows(make(rng.randint(1, 9)))
+            want = _contracting_by_inverse(a)
+            assert is_contracting(a) == want, (name, a)
+            verdicts[name].add(want)
+    swap = RationalMatrix.from_rows([[0, 1], [1, 0]])
+    assert is_contracting(swap) is _contracting_by_inverse(swap) is False
+    # each family lands where rho puts it, so the agreement is not vacuous
+    assert verdicts["random"] == {True, False}
+    assert verdicts["block-triangular"] == verdicts["stochastic"] == verdicts["permutation"] == {False}
+    assert verdicts["stochastic*1001/1000"] == {False}
+    assert verdicts["stochastic*999/1000"] == verdicts["nilpotent"] == {True}
+
+
+@pytest.mark.parametrize("row_sum", [Fraction(1), Fraction(999999, 1000000)], ids=["1", "999999/1000000"])
+def test_is_contracting_is_fast_on_dense_matrices(row_sum):
+    # row sums 1 make I - A singular, so elimination runs to the last pivot
+    rng = random.Random(35)
+    n = 60
+    rows = _scaled(_stochastic_rows(rng, n, 0), row_sum)
+    a = RationalMatrix.from_rows(rows)
+    t0 = time.perf_counter()
+    verdict = is_contracting(a)
+    elapsed = time.perf_counter() - t0
+    assert verdict is (row_sum < 1)
+    assert elapsed < 2.0, f"{elapsed:.2f} s for a dense {n}x{n} matrix"
+
+
 def test_is_contracting_agrees_with_float(rabbit):
     rng = random.Random(30)
     for _ in range(60):
@@ -189,6 +315,13 @@ def test_parse_matrix():
         parse_matrix("2\n1 0 3\n0 1\n")
     with pytest.raises(ValueError, match="row 1"):
         parse_matrix("1\nfoo\n")
+    assert parse_matrix("1\n0.25\n").entries[0][0] == Fraction(1, 4)
+    # Fraction would build 10**999999999 from these few bytes
+    for entry in ("1e999999999", "1E5", "-2.5e-3", "0.5e1"):
+        with pytest.raises(ValueError, match=r"row 2, column 1: .* \(exponent notation is not accepted\)"):
+            parse_matrix(f"2\n1 0\n{entry} 1/2\n")
+    with pytest.raises(ValueError, match="row 2, column 2: matrix must be nonnegative, got -1/3"):
+        parse_matrix("2\n1 0\n0 -1/3\n")
     with pytest.raises(ValueError, match="empty"):
         parse_matrix("\n")
 
@@ -198,10 +331,7 @@ def test_neumann_series_cross_check():
     # check against a truncated float sum
     a = RABBIT_CYCLE
     n = a.n
-    rows = [[Fraction(int(i == j)) - a.entries[i][j] for j in range(n)] for i in range(n)]
-    from curvepull.spectra import _inverse
-
-    inv = _inverse(rows)
+    inv = _inverse(_identity_minus(a))
     acc = [[float(i == j) for j in range(n)] for i in range(n)]
     power = [[float(i == j) for j in range(n)] for i in range(n)]
     af = [[float(e) for e in row] for row in a.entries]
