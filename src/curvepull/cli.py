@@ -225,7 +225,8 @@ def cmd_spectra(args: argparse.Namespace) -> int:
             )
         # The cycle matrix is a weighted p-cycle: rho^p is its weight product.
         product, p = cls.weight_product, len(cls.cycle)
-        lam = float(product) ** (1 / p)
+        # p-th root through logs: the product can lie outside float range
+        lam = math.exp((math.log(product.numerator) - math.log(product.denominator)) / p)
         contracting = product < 1
         cycle_results = {"cycle_weight_product": _frac(product), "cycle_length": p}
         report_inputs.update({"map": mapdef.name, "curve": args.cycle_of})
@@ -345,6 +346,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--tol must be a positive finite number")
     if getattr(args, "max_steps", 1) < 1:
         parser.error("--max-steps must be at least 1")
+    if getattr(args, "n", 1) < 1:
+        parser.error("--n must be at least 1")
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:

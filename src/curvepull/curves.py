@@ -247,88 +247,67 @@ class PullbackSystem:
             return PullbackStep(None, s, 0, weight)
         return PullbackStep(self.canonicalize(target, v * self.psi._scan(w, state)), s, t, weight)
 
+    def _classify(self, start: Curve, max_steps: int, steps: dict, verdicts: dict) -> Classification:
+        """Classify the orbit of the canonical curve ``start``.
+
+        ``steps`` maps curves to pullback steps and ``verdicts`` to
+        classifications before the step cut; calls may share them.  The
+        walk follows targets to the trivial curve, a repeat, a curve with
+        a verdict, or ``max_steps`` curves.  Each curve of a new cycle sees
+        the cycle from itself, and each curve before it gets its target's
+        verdict plus one step.  A verdict that needs more than
+        ``max_steps`` pullbacks (the trivial depth, or preperiod plus
+        period) is unresolved.
+        """
+        path: dict[Curve, int] = {}  # walked curve -> its position
+        cur: Curve | None = start
+        while cur is not None and cur not in verdicts and cur not in path:
+            if len(path) == max_steps:
+                return Unresolved(max_steps)
+            path[cur] = len(path)
+            step = steps.get(cur)
+            if step is None:
+                step = steps[cur] = self.pullback(cur)
+            cur = step.target
+        walked = list(path)
+        if cur in path:
+            cycle, walked = tuple(walked[path[cur] :]), walked[: path[cur]]
+            weights = tuple(steps[c].weight for c in cycle)
+            for k, c in enumerate(cycle):
+                verdicts[c] = EntersCycle(0, cycle[k:] + cycle[:k], weights[k:] + weights[:k])
+        after = EventuallyTrivial(0) if cur is None else verdicts[cur]
+        for c in reversed(walked):
+            if isinstance(after, EventuallyTrivial):
+                after = EventuallyTrivial(after.steps + 1)
+            else:
+                after = EntersCycle(after.preperiod + 1, after.cycle, after.cycle_weights)
+            verdicts[c] = after
+        needed = after.steps if isinstance(after, EventuallyTrivial) else after.preperiod + len(after.cycle)
+        return after if needed <= max_steps else Unresolved(max_steps)
+
     def orbit(self, curve: Curve, max_steps: int = 1000) -> OrbitResult:
+        """The orbit of a curve in any spelling, cut after ``max_steps`` pullbacks."""
         if max_steps < 1:
             raise ValueError("max_steps must be positive")
         start = self.canonicalize(curve.axis, curve.conjugator)
-        visited: dict[Curve, int] = {start: 0}
-        trail = [start]
-        steps: list[PullbackStep] = []
-        for _ in range(max_steps):
-            step = self.pullback(trail[-1])
-            steps.append(step)
-            if step.target is None:
-                return OrbitResult(start, tuple(steps), EventuallyTrivial(len(steps)))
-            if step.target in visited:
-                j = visited[step.target]
-                cls = EntersCycle(
-                    preperiod=j,
-                    cycle=tuple(trail[j:]),
-                    cycle_weights=tuple(st.weight for st in steps[j:]),
-                )
-                return OrbitResult(start, tuple(steps), cls)
-            visited[step.target] = len(trail)
-            trail.append(step.target)
-        return OrbitResult(start, tuple(steps), Unresolved(max_steps))
+        steps: dict[Curve, PullbackStep] = {}
+        cls = self._classify(start, max_steps, steps, {})
+        # With no memo, the walk pulls each orbit curve back once, in order.
+        return OrbitResult(start, tuple(steps.values()), cls)
 
     def classify(self, curves: Iterable[Curve], max_steps: int = 1000) -> list[Classification]:
         """``orbit(c, max_steps).classification`` for each curve, pulling
         each distinct curve back at most once.
 
-        Every curve has exactly one pullback target, so a classification
-        follows from the target's one: one more step to the trivial curve,
-        or one more step of preperiod before the same cycle.  The memo
-        holds classifications without the step cut; one that needs more
-        than ``max_steps`` pullbacks to be seen (the trivial depth, or
-        preperiod plus period) is reported as unresolved, as ``orbit`` does.
+        The curves must be canonical, as ``enumerate_curves`` and
+        ``parse_curve`` return them; unlike ``orbit``, this does not
+        canonicalize its input.
         """
         if max_steps < 1:
             raise ValueError("max_steps must be positive")
-        # curve -> [its pullback step, its classification or None if not yet known]
-        memo: dict[Curve, list] = {}
-        out: list[Classification] = []
-        for curve in curves:
-            start = self.canonicalize(curve.axis, curve.conjugator)
-            walk: list[tuple[Curve, list]] = []
-            index: dict[Curve, int] = {}
-            after: EventuallyTrivial | EntersCycle | None = None
-            cur: Curve | None = start
-            while cur is not None:
-                entry = memo.get(cur)
-                if entry is not None and entry[1] is not None:
-                    after = entry[1]
-                    break
-                if cur in index or len(walk) == max_steps:
-                    break
-                if entry is None:
-                    entry = memo[cur] = [self.pullback(cur), None]
-                index[cur] = len(walk)
-                walk.append((cur, entry))
-                cur = entry[0].target
-            if cur is None:
-                after = EventuallyTrivial(0)
-            elif cur in index:
-                # Each curve of the cycle sees the cycle from itself.
-                j = index[cur]
-                cycle = tuple(c for c, _ in walk[j:])
-                weights = tuple(e[0].weight for _, e in walk[j:])
-                for k, (_, e) in enumerate(walk[j:]):
-                    e[1] = EntersCycle(0, cycle[k:] + cycle[:k], weights[k:] + weights[:k])
-                after = walk[j][1][1]
-                del walk[j:]
-            elif after is None:  # max_steps pullbacks from start without a verdict
-                out.append(Unresolved(max_steps))
-                continue
-            for _, e in reversed(walk):
-                if isinstance(after, EventuallyTrivial):
-                    after = EventuallyTrivial(after.steps + 1)
-                else:
-                    after = EntersCycle(after.preperiod + 1, after.cycle, after.cycle_weights)
-                e[1] = after
-            # `after` is now the classification of start
-            needed = after.steps if isinstance(after, EventuallyTrivial) else after.preperiod + len(after.cycle)
-            out.append(after if needed <= max_steps else Unresolved(max_steps))
-        return out
+        steps: dict[Curve, PullbackStep] = {}
+        verdicts: dict[Curve, EventuallyTrivial | EntersCycle] = {}
+        return [self._classify(c, max_steps, steps, verdicts) for c in curves]
 
     # -- enumeration ---------------------------------------------------------
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import endo
-from .words import Word, WordSyntaxError, conjugacy_equal, format_word, parse_word
+from .words import Word, WordSyntaxError, conjugacy_equal, cyclic_reduce, format_word, parse_word, primitive_root
 
 MAP_PATH_ENV = "CURVEPULL_MAP_PATH"
 
@@ -60,6 +60,7 @@ class MapDefError(ValueError):
         "parity-not-surjective",
         "not-schreier-basis",
         "duplicate-axis",
+        "axis-not-primitive",
     )
 
     def __init__(self, code: str, message: str, line: int = 0, column: int = 1):
@@ -141,12 +142,16 @@ def parse_mapdef(text: str) -> MapDefinition:
                 raise MapDefError("syntax-error", "expected: gen NAME parity BIT", lineno)
             if tokens[3] not in ("0", "1"):
                 raise MapDefError("syntax-error", f"parity bit must be 0 or 1, got {tokens[3]}", lineno)
+            if not tokens[1].isidentifier():
+                raise MapDefError("syntax-error", f"generator name {tokens[1]!r} is not an identifier", lineno)
             gens.append((tokens[1], int(tokens[3]), lineno))
         elif directive == "axis":
             if len(tokens) < 4 or tokens[2] != "=":
                 raise MapDefError("syntax-error", "expected: axis NAME = WORD", lineno)
             if axis is not None:
                 raise MapDefError("syntax-error", "duplicate axis line", lineno)
+            if not tokens[1].isidentifier():
+                raise MapDefError("syntax-error", f"axis name {tokens[1]!r} is not an identifier", lineno)
             axis = (tokens[1], " ".join(tokens[3:]), lineno)
         elif directive == "schreier":
             rest = line[len("schreier") :].strip()
@@ -189,6 +194,14 @@ def parse_mapdef(text: str) -> MapDefinition:
             "duplicate-axis",
             "axis word must be cyclically reduced; as written it names the "
             "same curve as a shorter word",
+            axis_line,
+        )
+    root, power = primitive_root(cyclic_reduce(third)[0])
+    if power > 1:
+        raise MapDefError(
+            "axis-not-primitive",
+            f"axis word is a proper power, ({format_word(root, gen_names)})^{power},"
+            " but the loop of a simple closed curve is primitive",
             axis_line,
         )
     axis_words = (gen_table[gen_names[0]], gen_table[gen_names[1]], third)

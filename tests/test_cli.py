@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from curvepull.cli import main
+from curvepull.curves import EntersCycle, OrbitResult, PullbackSystem
 
 RABBIT_TEXT = """\
 map twinrabbit
@@ -244,6 +245,28 @@ def test_spectra_cycle_of(capsys):
     assert "leading eigenvalue: 0.629960524947\n" in out
 
 
+@pytest.mark.parametrize(
+    "weight, rho, contracting",
+    [(Fraction(1, 2), 0.5, "true"), (2, 2.0, "false")],
+    ids=["product-2^-1100", "product-2^1100"],
+)
+def test_spectra_cycle_of_long_cycle_outside_float_range(capsys, monkeypatch, weight, rho, contracting):
+    # a period-1100 cycle: its weight product 2^-1100 or 2^1100 is no float
+    def orbit(self, curve, max_steps=1000):
+        cls = EntersCycle(0, (curve,) * 1100, (Fraction(weight),) * 1100)
+        return OrbitResult(curve, (), cls)
+
+    monkeypatch.setattr(PullbackSystem, "orbit", orbit)
+    code, out, _ = run(capsys, "spectra", "--cycle-of", "x", "--map", "rabbit")
+    assert code == 0
+    assert f"leading eigenvalue: {rho:.12g}\n" in out
+    assert f"contracting: {contracting}\n" in out
+    code, doc = run_json(capsys, "spectra", "--cycle-of", "x", "--map", "rabbit")
+    assert code == 0
+    assert doc["results"]["leading_eigenvalue"] == pytest.approx(rho, rel=1e-12)
+    assert doc["results"]["cycle_length"] == 1100
+
+
 def test_spectra_cycle_of_trivial_orbit(capsys):
     code, _, err = run(capsys, "spectra", "--cycle-of", "a", "--map", "dendrite")
     assert code == 2
@@ -317,3 +340,8 @@ def test_max_steps_validation(capsys):
         main(["orbit", "--map", "rabbit", "--curve", "x", "--max-steps", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+    for n in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--map", "dendrite", "--suite", "prop84", "--n", n])
+        assert exc.value.code == 2
+        assert "--n must be at least 1" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from curvepull.curves import (
     Curve,
     EntersCycle,
     EventuallyTrivial,
+    OrbitResult,
     PullbackError,
     PullbackStep,
     PullbackSystem,
@@ -86,12 +88,13 @@ def reference_enumeration(system, max_length):
 def axis_shape_systems(rabbit_system, dendrite_system, fixed_map_text):
     """The built-in maps plus two with other third-axis shapes: x y x has
     odd length, so canonical forms have no ties, and x y x y is a proper
-    power."""
+    power, which the loader rejects, so it is built from the parsed map."""
     systems = {"rabbit": rabbit_system, "dendrite": dendrite_system}
-    for axis in ("x y x", "x y x y"):
-        text = fixed_map_text.replace("axis z = y^-1 x^-1", f"axis z = {axis}")
-        assert text != fixed_map_text
-        systems[axis] = PullbackSystem(parse_mapdef(text))
+    text = fixed_map_text.replace("axis z = y^-1 x^-1", "axis z = x y x")
+    assert text != fixed_map_text
+    systems["x y x"] = PullbackSystem(parse_mapdef(text))
+    power = dataclasses.replace(parse_mapdef(fixed_map_text), third_axis=Word((1, 2, 1, 2)))
+    systems["x y x y"] = PullbackSystem(power)
     return systems
 
 
@@ -303,13 +306,40 @@ def test_orbit_unresolved(rabbit_system):
         rabbit_system.orbit(Curve(0, Word.identity()), 0)
 
 
+def reference_orbit(system, curve, max_steps):
+    """Reference orbit: pull one curve back step by step, with no memo,
+    until the trivial curve, a repeat, or max_steps pullbacks."""
+    start = system.canonicalize(curve.axis, curve.conjugator)
+    visited = {start: 0}
+    trail = [start]
+    steps = []
+    for _ in range(max_steps):
+        step = system.pullback(trail[-1])
+        steps.append(step)
+        if step.target is None:
+            return OrbitResult(start, tuple(steps), EventuallyTrivial(len(steps)))
+        if step.target in visited:
+            j = visited[step.target]
+            cls = EntersCycle(
+                preperiod=j,
+                cycle=tuple(trail[j:]),
+                cycle_weights=tuple(st.weight for st in steps[j:]),
+            )
+            return OrbitResult(start, tuple(steps), cls)
+        visited[step.target] = len(trail)
+        trail.append(step.target)
+    return OrbitResult(start, tuple(steps), Unresolved(max_steps))
+
+
 @pytest.mark.parametrize("map_name", ["rabbit", "dendrite", "fixed"])
 def test_classify_matches_orbit(map_name, fixed_map_text, monkeypatch):
     mapdef = parse_mapdef(fixed_map_text) if map_name == "fixed" else builtin(map_name)
     system = PullbackSystem(mapdef)
-    curves = system.enumerate_curves(4)
-    # non-canonical spellings are canonicalized first, as orbit does
-    curves += [Curve(c.axis, system.axis_words[c.axis] * c.conjugator) for c in curves[:30]]
+    canonical = system.enumerate_curves(4)
+    # non-canonical spellings, which only orbit accepts
+    spellings = [Curve(c.axis, system.axis_words[c.axis] * c.conjugator) for c in canonical[:30]]
+    sections = [Curve(axis, section_conjugator(n)) for n in (5, 6, 7, 8) for axis in range(3)]
+    canonical += [system.canonicalize(c.axis, c.conjugator) for c in sections]
     pulled = []
     pullback = PullbackSystem.pullback
 
@@ -319,12 +349,14 @@ def test_classify_matches_orbit(map_name, fixed_map_text, monkeypatch):
 
     monkeypatch.setattr(PullbackSystem, "pullback", counted)
     for max_steps in (1, 2, 3, 5, 1000):
-        want = [system.orbit(c, max_steps).classification for c in curves]
+        want = {c: reference_orbit(system, c, max_steps) for c in canonical + spellings + sections}
+        for c, reference in want.items():
+            assert system.orbit(c, max_steps) == reference, c
         pulled.clear()
-        assert system.classify(curves, max_steps) == want
+        assert system.classify(canonical, max_steps) == [want[c].classification for c in canonical]
         assert len(pulled) == len(set(pulled))
     with pytest.raises(ValueError):
-        system.classify(curves, 0)
+        system.classify(canonical, 0)
 
 
 def test_enumerate_axis_count(rabbit_system):

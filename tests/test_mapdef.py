@@ -122,10 +122,32 @@ def test_non_cyclically_reduced_axis_rejected():
         lambda t: t.replace("schreier x -> y", "schreier x y"),
         lambda t: t + "orbit x\n",
         lambda t: t.replace("axis z = y^-1 x^-1", "axis z = 1"),
+        lambda t: t.replace("gen x parity 0", "gen 1 parity 0"),
+        lambda t: t.replace("gen x parity 0", "gen x^2 parity 0"),
     ],
 )
 def test_syntax_errors(mutation):
     assert err_code(mutation(GOOD)) == "syntax-error"
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [("gen x", "gen 1", 2), ("gen x", "gen x^2", 2), ("gen y", "gen y-1", 3), ("axis z", "axis 2z", 4)],
+)
+def test_unreadable_names_rejected_at_their_line(old, new, line):
+    with pytest.raises(MapDefError) as exc:
+        parse_mapdef(GOOD.replace(old, new, 1))
+    assert exc.value.code == "syntax-error"
+    assert exc.value.line == line
+    assert "not an identifier" in str(exc.value)
+
+
+@pytest.mark.parametrize("axis", ["x y x y", "x^-1 y^2 x^-1 y^2", "x x"])
+def test_proper_power_axis_rejected(axis):
+    with pytest.raises(MapDefError) as exc:
+        parse_mapdef(GOOD.replace("axis z = y^-1 x^-1", f"axis z = {axis}"))
+    assert exc.value.code == "axis-not-primitive"
+    assert exc.value.line == 4
 
 
 def test_error_carries_line():
