@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Each ``cmd_*`` returns its report, text lines and exit code; ``main``
+times it and emits the JSON envelope: ``command`` first, then the
+command's own keys (``map``, ``inputs``, ``results``), ``elapsed_s`` last.
+``verify --n`` is at most ``verify.MAX_SECTION_DEPTH`` (20): the prop84
+conjugator w_n has 2^(n+1) - 3 letters.
+
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error.  Rational weights are printed exactly as p/q;
 floats appear only in eigenvalue estimates.
@@ -15,9 +21,9 @@ import time
 from fractions import Fraction
 
 from . import spectra
-from .curves import EntersCycle, EventuallyTrivial, OrbitResult, PullbackSystem, Unresolved
+from .curves import EntersCycle, EventuallyTrivial, PullbackSystem, Unresolved
 from .mapdef import load_map
-from .verify import SUITES, run_suite, sweep_facts
+from .verify import MAX_SECTION_DEPTH, SUITES, run_suite, sweep_facts
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -34,8 +40,11 @@ def _emit(report: dict, fmt: str, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
-def _orbit_report(system: PullbackSystem, result: OrbitResult) -> tuple[dict, list[str]]:
-    lines = [f"curve: {system.format_curve(result.start)}"]
+def cmd_orbit(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    mapdef = load_map(args.map)
+    system = PullbackSystem(mapdef)
+    result = system.orbit(system.parse_curve(args.curve), args.max_steps)
+    lines = [f"map: {mapdef.name}", f"curve: {system.format_curve(result.start)}"]
     steps_json = []
     for i, step in enumerate(result.steps, start=1):
         target = "o" if step.target is None else system.format_curve(step.target)
@@ -51,9 +60,7 @@ def _orbit_report(system: PullbackSystem, result: OrbitResult) -> tuple[dict, li
         cycle = [system.format_curve(c) for c in cls.cycle]
         weights = [_frac(w) for w in cls.cycle_weights]
         product = _frac(cls.weight_product)
-        lines.append(
-            f"classification: enters cycle, preperiod {cls.preperiod}, period {len(cls.cycle)}"
-        )
+        lines.append(f"classification: enters cycle, preperiod {cls.preperiod}, period {len(cls.cycle)}")
         lines.append("cycle: " + " -> ".join(cycle))
         lines.append("cycle weights: " + " ".join(weights))
         lines.append(f"cycle weight product: {product}")
@@ -68,43 +75,25 @@ def _orbit_report(system: PullbackSystem, result: OrbitResult) -> tuple[dict, li
         assert isinstance(cls, Unresolved)
         lines.append(f"classification: unresolved after {cls.max_steps} steps")
         cls_json = {"kind": "unresolved", "max_steps": cls.max_steps}
-    report = {"steps": steps_json, "classification": cls_json}
-    return report, lines
-
-
-def cmd_orbit(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    mapdef = load_map(args.map)
-    system = PullbackSystem(mapdef)
-    curve = system.parse_curve(args.curve)
-    result = system.orbit(curve, args.max_steps)
-    results, lines = _orbit_report(system, result)
-    report = {
-        "command": "orbit",
+    return {
         "map": mapdef.name,
         "inputs": {"curve": args.curve, "max_steps": args.max_steps},
-        "results": results,
-        "elapsed_s": time.perf_counter() - t0,
-    }
-    _emit(report, args.format, [f"map: {mapdef.name}"] + lines)
-    return 0
+        "results": {"steps": steps_json, "classification": cls_json},
+    }, lines, 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     mapdef = load_map(args.map)
     system = PullbackSystem(mapdef)
     results = run_suite(args.suite, mapdef, system, n_max=args.n)
     lines = [f"map: {mapdef.name}"]
     suites_json = []
-    all_ok = True
     for res in results:
         for item in res.items:
             status = "PASS" if item.ok else "FAIL"
             detail = f"  [{item.detail}]" if item.detail and not item.ok else ""
             lines.append(f"{status} {res.suite}: {item.label}{detail}")
         lines.append(f"suite {res.suite}: {res.passed}/{res.total} pass")
-        all_ok = all_ok and res.ok
         suites_json.append(
             {
                 "suite": res.suite,
@@ -116,15 +105,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 ],
             }
         )
-    report = {
-        "command": "verify",
+    ok = all(res.ok for res in results)
+    return {
         "map": mapdef.name,
         "inputs": {"suite": args.suite},
-        "results": {"suites": suites_json, "ok": all_ok},
-        "elapsed_s": time.perf_counter() - t0,
-    }
-    _emit(report, args.format, lines)
-    return 0 if all_ok else CHECK_FAILED
+        "results": {"suites": suites_json, "ok": ok},
+    }, lines, 0 if ok else CHECK_FAILED
 
 
 def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
@@ -160,8 +146,7 @@ def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
     return {"curves": curves, "histogram": histogram, "counterexamples": counterexamples}
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_sweep(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     mapdef = load_map(args.map)
     system = PullbackSystem(mapdef)
     data = run_sweep(system, args.max_len, args.max_steps)
@@ -180,8 +165,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lines.append(f"COUNTEREXAMPLE {ce}")
     ok = not counterexamples
     lines.append("sweep: ok" if ok else f"sweep: {len(counterexamples)} counterexamples")
-    report = {
-        "command": "sweep",
+    return {
         "map": mapdef.name,
         "inputs": {"max_len": args.max_len, "max_steps": args.max_steps},
         "results": {
@@ -190,14 +174,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "counterexamples": counterexamples,
             "ok": ok,
         },
-        "elapsed_s": time.perf_counter() - t0,
-    }
-    _emit(report, args.format, lines)
-    return 0 if ok else CHECK_FAILED
+    }, lines, 0 if ok else CHECK_FAILED
 
 
-def cmd_spectra(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_spectra(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     lines = []
     report_inputs: dict = {"tol": args.tol}
     if args.matrix:
@@ -231,29 +211,15 @@ def cmd_spectra(args: argparse.Namespace) -> int:
         cycle_results = {"cycle_weight_product": _frac(product), "cycle_length": p}
         report_inputs.update({"map": mapdef.name, "curve": args.cycle_of})
         lines.append(f"map: {mapdef.name}")
-        lines.append(
-            "cycle: " + " -> ".join(system.format_curve(c) for c in cls.cycle)
-        )
+        lines.append("cycle: " + " -> ".join(system.format_curve(c) for c in cls.cycle))
         lines.append(f"cycle weight product: {_frac(product)}")
     lines.append(f"leading eigenvalue: {'not converged' if lam is None else format(lam, '.12g')}")
     lines.append(f"contracting: {'true' if contracting else 'false'}")
-    results = {
-        "leading_eigenvalue": lam,
-        "contracting": contracting,
-        **cycle_results,
-    }
-    report = {
-        "command": "spectra",
-        "inputs": report_inputs,
-        "results": results,
-        "elapsed_s": time.perf_counter() - t0,
-    }
-    _emit(report, args.format, lines)
-    return 0
+    results = {"leading_eigenvalue": lam, "contracting": contracting, **cycle_results}
+    return {"inputs": report_inputs, "results": results}, lines, 0
 
 
-def cmd_mapinfo(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_mapinfo(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     mapdef = load_map(args.map)
     parity = mapdef.parity
     lines = [f"map: {mapdef.name}"]
@@ -268,8 +234,7 @@ def cmd_mapinfo(args: argparse.Namespace) -> int:
     for lhs, rhs in mapdef.schreier_images:
         lines.append(f"schreier {mapdef.format(lhs)} -> {mapdef.format(rhs)}")
         schreier_json.append({"from": mapdef.format(lhs), "to": mapdef.format(rhs)})
-    report = {
-        "command": "mapinfo",
+    return {
         "map": mapdef.name,
         "results": {
             "generators": list(mapdef.gens),
@@ -279,10 +244,7 @@ def cmd_mapinfo(args: argparse.Namespace) -> int:
             "third_axis_word": mapdef.format(mapdef.third_axis),
             "schreier": schreier_json,
         },
-        "elapsed_s": time.perf_counter() - t0,
-    }
-    _emit(report, args.format, lines)
-    return 0
+    }, lines, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_map: bool = True) -> None:
-        if with_map:
-            p.add_argument("--map", required=True, help="built-in name, file path, or name on CURVEPULL_MAP_PATH")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--map", required=True, help="built-in name, file path, or name on CURVEPULL_MAP_PATH")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_orbit = sub.add_parser("orbit", help="pullback orbit of one curve")
@@ -305,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check a built-in map against its reference identities")
     add_common(p_verify)
-    p_verify.add_argument(
-        "--suite", required=True, choices=(*SUITES, "all")
-    )
+    p_verify.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p_verify.add_argument("--n", type=int, default=12, help="depth for the prop84 suite")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -348,8 +307,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-steps must be at least 1")
     if getattr(args, "n", 1) < 1:
         parser.error("--n must be at least 1")
+    if getattr(args, "n", 1) > MAX_SECTION_DEPTH:
+        parser.error(f"--n must be at most {MAX_SECTION_DEPTH}")
+    if getattr(args, "max_len", 0) < 0:
+        parser.error("--max-len must be at least 0")
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        report, lines, code = args.func(args)
+        _emit({"command": args.command, **report, "elapsed_s": time.perf_counter() - t0}, args.format, lines)
+        return code
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -63,12 +63,11 @@ class MapDefError(ValueError):
         "axis-not-primitive",
     )
 
-    def __init__(self, code: str, message: str, line: int = 0, column: int = 1):
+    def __init__(self, code: str, message: str, line: int = 0):
         assert code in self.CODES
         super().__init__(f"{code} at line {line}: {message}")
         self.code = code
         self.line = line
-        self.column = column
 
 
 @dataclass(frozen=True)

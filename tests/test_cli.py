@@ -73,10 +73,67 @@ def test_orbit_unresolved_is_success(capsys):
     assert doc["results"]["classification"]["kind"] == "unresolved"
 
 
-def test_orbit_text_stable(capsys):
-    _, out1, _ = run(capsys, "orbit", "--map", "rabbit", "--curve", "z^(x y^-1)")
-    _, out2, _ = run(capsys, "orbit", "--map", "rabbit", "--curve", "z^(x y^-1)")
-    assert out1 == out2
+GOLDEN = {
+    ("orbit", "--map", "rabbit", "--curve", "z^(x y^-1)"): """\
+map: rabbit
+curve: z^(x y^-1)
+step 1: target x^(y)  s 2  t 1  weight 1/2
+step 2: target o  s 1  t 0  weight 0
+classification: trivial after 2 steps
+""",
+    ("verify", "--map", "dendrite", "--suite", "prop84", "--n", "2"): """\
+map: dendrite
+PASS prop84: psi(section(w)) = w
+PASS prop84: psi^1(b^(w_1)) = b
+PASS prop84: psi^2(b^(w_2)) = b
+suite prop84: 3/3 pass
+""",
+    ("sweep", "--map", "rabbit", "--max-len", "2"): """\
+map: rabbit
+curves with conjugator length <= 2: 30
+  cycle with preperiod 0: 3
+  cycle with preperiod 1: 6
+  cycle with preperiod 2: 2
+  cycle with preperiod 3: 1
+  trivial in 1: 6
+  trivial in 2: 7
+  trivial in 3: 3
+  trivial in 4: 1
+  trivial in 5: 1
+sweep: ok
+""",
+    ("spectra", "--cycle-of", "x", "--map", "rabbit"): """\
+map: rabbit
+cycle: x -> y -> z
+cycle weight product: 1/4
+leading eigenvalue: 0.629960524947
+contracting: true
+""",
+    ("mapinfo", "--map", "rabbit"): """\
+map: rabbit
+generator x: parity 0
+generator y: parity 1
+coset representative: y
+axes: x, y, z = y^-1 x^-1
+schreier x -> y
+schreier y^-1 x y -> 1
+schreier y y -> y^-1 x^-1
+""",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN, ids=lambda argv: argv[0])
+def test_text_output_golden(capsys, argv):
+    assert run(capsys, *argv) == (0, GOLDEN[argv], "")
+
+
+@pytest.mark.parametrize("argv", GOLDEN, ids=lambda argv: argv[0])
+def test_json_envelope(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    own = {"spectra": ["inputs", "results"], "mapinfo": ["map", "results"]}
+    assert list(doc) == ["command", *own.get(argv[0], ["map", "inputs", "results"]), "elapsed_s"]
+    assert doc["command"] == argv[0]
 
 
 def test_orbit_bad_curve(capsys):
@@ -340,8 +397,12 @@ def test_max_steps_validation(capsys):
         main(["orbit", "--map", "rabbit", "--curve", "x", "--max-steps", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
-    for n in ("0", "-1"):
+    for n, message in (("0", "at least 1"), ("-1", "at least 1"), ("21", "at most 20")):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--map", "dendrite", "--suite", "prop84", "--n", n])
         assert exc.value.code == 2
-        assert "--n must be at least 1" in capsys.readouterr().err
+        assert f"--n must be {message}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--map", "rabbit", "--max-len", "-1"])
+    assert exc.value.code == 2
+    assert "--max-len must be at least 0" in capsys.readouterr().err
