@@ -20,7 +20,7 @@ from .spectra import (
     is_contracting,
     leading_eigenvalue,
 )
-from .words import CyclicWord, Word, conjugacy_equal, cyclic_reduce, primitive_root
+from .words import CyclicWord, Word, cyclic_reduce, primitive_root
 
 __all__ = [
     "AbelianVirtualEndo",
@@ -41,7 +41,6 @@ __all__ = [
     "VirtualEndo",
     "Word",
     "builtin",
-    "conjugacy_equal",
     "contraction_coefficient_estimate",
     "cyclic_reduce",
     "is_contracting",

@@ -4,7 +4,8 @@ Each ``cmd_*`` returns its report, text lines and exit code; ``main``
 times it and emits the JSON envelope: ``command`` first, then the
 command's own keys (``map``, ``inputs``, ``results``), ``elapsed_s`` last.
 ``verify --n`` is at most ``verify.MAX_SECTION_DEPTH`` (20): the prop84
-conjugator w_n has 2^(n+1) - 3 letters.
+conjugator w_n has 2^(n+1) - 3 letters.  ``sweep --max-len`` is at most
+``MAX_SWEEP_LENGTH`` (10): the number of curves triples per letter.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error.  Rational weights are printed exactly as p/q;
@@ -84,8 +85,7 @@ def cmd_orbit(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     mapdef = load_map(args.map)
-    system = PullbackSystem(mapdef)
-    results = run_suite(args.suite, mapdef, system, n_max=args.n)
+    results = run_suite(args.suite, mapdef, n_max=args.n)
     lines = [f"map: {mapdef.name}"]
     suites_json = []
     for res in results:
@@ -111,6 +111,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "inputs": {"suite": args.suite},
         "results": {"suites": suites_json, "ok": ok},
     }, lines, 0 if ok else CHECK_FAILED
+
+
+# Longest conjugator ``sweep`` accepts: the number of curves triples per
+# letter, and length 10 (196,830 curves on the rabbit) already takes about
+# 6 s and 180 MB (2-CPU host, Python 3.11).
+MAX_SWEEP_LENGTH = 10
 
 
 def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
@@ -197,7 +203,7 @@ def cmd_spectra(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         mapdef = load_map(args.map)
         system = PullbackSystem(mapdef)
         curve = system.parse_curve(args.cycle_of)
-        result = system.orbit(curve, args.max_steps)
+        result = system.orbit(curve, getattr(args, "max_steps", 1000))
         cls = result.classification
         if not isinstance(cls, EntersCycle):
             raise ValueError(
@@ -281,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectra.add_argument("--matrix", help="matrix file: first line n, then n rows of rationals")
     p_spectra.add_argument("--cycle-of", dest="cycle_of", help="curve whose orbit cycle matrix to analyze")
     p_spectra.add_argument("--map", help="map for --cycle-of")
-    p_spectra.add_argument("--max-steps", type=int, default=1000)
+    # no default, so that main can tell a --max-steps given with --matrix
+    p_spectra.add_argument("--max-steps", type=int, default=argparse.SUPPRESS, help="orbit cut for --cycle-of (default 1000)")
     p_spectra.add_argument("--tol", type=float, default=1e-10, help="stopping threshold of the --matrix power iteration")
     p_spectra.add_argument("--format", choices=("text", "json"), default="text")
     p_spectra.set_defaults(func=cmd_spectra)
@@ -301,6 +308,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("spectra needs exactly one of --matrix or --cycle-of")
         if args.cycle_of and not args.map:
             parser.error("--cycle-of requires --map")
+        if args.matrix and (args.map is not None or "max_steps" in vars(args)):
+            parser.error("--map and --max-steps apply only to --cycle-of")
         if not (args.tol > 0 and math.isfinite(args.tol)):
             parser.error("--tol must be a positive finite number")
     if getattr(args, "max_steps", 1) < 1:
@@ -311,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--n must be at most {MAX_SECTION_DEPTH}")
     if getattr(args, "max_len", 0) < 0:
         parser.error("--max-len must be at least 0")
+    if getattr(args, "max_len", 0) > MAX_SWEEP_LENGTH:
+        parser.error(f"--max-len must be at most {MAX_SWEEP_LENGTH}")
     try:
         t0 = time.perf_counter()
         report, lines, code = args.func(args)

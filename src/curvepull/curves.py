@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
-from .endo import VirtualEndo
 from .mapdef import MapDefinition
 from .words import Word, cyclic_reduce, parse_word, primitive_root
 
@@ -43,10 +42,6 @@ class PullbackStep:
     s: int
     t: int
     weight: Fraction
-
-    @property
-    def trivial(self) -> bool:
-        return self.target is None
 
 
 @dataclass(frozen=True)
@@ -126,9 +121,9 @@ _CURVE_RE = re.compile(r"^\s*(\S+?)\s*(?:\^\s*\(\s*(.*?)\s*\)\s*)?$")
 class PullbackSystem:
     """Curve dynamics for one map: a map definition plus its transducer."""
 
-    def __init__(self, mapdef: MapDefinition, psi: VirtualEndo | None = None):
+    def __init__(self, mapdef: MapDefinition):
         self.mapdef = mapdef
-        self.psi = psi if psi is not None else mapdef.endomorphism()
+        self.psi = mapdef.endomorphism()
         self.axis_words = mapdef.axis_words
         # Each axis word and its inverse, as letters, for canonical forms.
         self._axis_codes = [(aw.codes, (~aw).codes) for aw in self.axis_words]

@@ -18,10 +18,6 @@ from .words import Word, substitute
 class DomainError(ValueError):
     """Raised when a word outside H is fed to the partial endomorphism."""
 
-    def __init__(self, message: str, parity: int):
-        super().__init__(message)
-        self.parity = parity
-
 
 @dataclass(frozen=True)
 class ParityHom:
@@ -126,9 +122,8 @@ class VirtualEndo:
 
     def apply(self, w: Word) -> Word:
         """psi(w) for w in H; raises DomainError otherwise."""
-        parity = self.parity.theta(w)
-        if parity:
-            raise DomainError("word is not in the domain of the endomorphism", parity)
+        if self.parity.theta(w):
+            raise DomainError("word is not in the domain of the endomorphism")
         return self._scan(w, 0)
 
     def apply_hat(self, w: Word) -> Word:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import endo
-from .words import Word, WordSyntaxError, conjugacy_equal, cyclic_reduce, format_word, parse_word, primitive_root
+from .words import Word, WordSyntaxError, cyclic_reduce, format_word, parse_word, primitive_root
 
 MAP_PATH_ENV = "CURVEPULL_MAP_PATH"
 
@@ -203,15 +203,14 @@ def parse_mapdef(text: str) -> MapDefinition:
             " but the loop of a simple closed curve is primitive",
             axis_line,
         )
-    axis_words = (gen_table[gen_names[0]], gen_table[gen_names[1]], third)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if conjugacy_equal(axis_words[i], axis_words[j]):
-                raise MapDefError(
-                    "duplicate-axis",
-                    f"axes {i} and {j} are conjugate, so they name the same curve",
-                    axis_line,
-                )
+    # A cyclically reduced word is conjugate to a generator or to its
+    # inverse, the same loop run backwards, exactly when it is that letter.
+    if len(third) == 1:
+        raise MapDefError(
+            "duplicate-axis",
+            f"axis word {axis_text!r} names the same curve as generator {gen_names[abs(third.codes[0]) - 1]}",
+            axis_line,
+        )
 
     parity = endo.ParityHom(bits)
     basis = endo.schreier_basis(parity)
@@ -239,16 +238,6 @@ def parse_mapdef(text: str) -> MapDefinition:
 
     images = tuple((b, declared[b]) for b in basis)
     return MapDefinition(name, gen_names, bits, axis_name, third, images)
-
-
-def serialize(mapdef: MapDefinition) -> str:
-    lines = [f"map {mapdef.name}"]
-    for g, bit in zip(mapdef.gens, mapdef.parity_bits):
-        lines.append(f"gen {g} parity {bit}")
-    lines.append(f"axis {mapdef.third_axis_name} = {mapdef.format(mapdef.third_axis)}")
-    for lhs, rhs in mapdef.schreier_images:
-        lines.append(f"schreier {mapdef.format(lhs)} -> {mapdef.format(rhs)}")
-    return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=None)

@@ -75,11 +75,12 @@ def is_contracting(a: RationalMatrix) -> bool:
     return True
 
 
-def leading_eigenvalue(
-    a: RationalMatrix,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> float:
+# Steps of power iteration before leading_eigenvalue gives up: a defective
+# dominant eigenvalue converges only like 1/k and can reach it.
+MAX_POWER_ITERATIONS = 100_000
+
+
+def leading_eigenvalue(a: RationalMatrix, tol: float = 1e-10) -> float:
     """Spectral radius by power iteration on (lam/4) I + A, lam the current
     estimate, from the all-ones vector.
 
@@ -101,7 +102,7 @@ def leading_eigenvalue(
             return 0.0
         v = [x / norm for x in v]
     v = [1.0 / n] * n
-    for _ in range(max_iter):
+    for _ in range(MAX_POWER_ITERATIONS):
         av = [sum(e * v[j] for j, e in row) for row in rows]
         lam = sum(av)
         # a smaller shift damps a cycle's rotation more slowly, a larger one
@@ -111,7 +112,7 @@ def leading_eigenvalue(
             return lam
         v = nxt
     raise ArithmeticError(
-        f"power iteration did not converge within {max_iter} iterations"
+        f"power iteration did not converge within {MAX_POWER_ITERATIONS} iterations"
     )
 
 

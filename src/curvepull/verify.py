@@ -141,16 +141,12 @@ def _random_word_with_parity(
             return w
 
 
-def verify_recursions(
-    mapdef: MapDefinition,
-    psi: endo.VirtualEndo,
-    samples: int = 200,
-    seed: int = 7,
-) -> SuiteResult:
+def verify_recursions(mapdef: MapDefinition, psi: endo.VirtualEndo) -> SuiteResult:
     """Check every recursion case psi_hat(prefix*w) = factor * psi_hat(w)
-    on random words w of the required coset."""
+    on 200 random words w of the required coset."""
     _require("recursions", mapdef)
-    rng = random.Random(seed)
+    samples = 200
+    rng = random.Random(7)
     cases = RECURSION_FACTORS[mapdef.name]
     result = SuiteResult("recursions")
     for prefix_tok, parity_class, factor_tok in cases:
@@ -177,17 +173,12 @@ def verify_recursions(
 MAX_SECTION_DEPTH = 20
 
 
-def verify_section(
-    mapdef: MapDefinition,
-    psi: endo.VirtualEndo,
-    n_max: int = 12,
-    samples: int = 200,
-    seed: int = 11,
-) -> SuiteResult:
-    """The section is a right inverse of psi, and conjugating the b-twist
-    by w_n makes it survive exactly n pullbacks."""
+def verify_section(mapdef: MapDefinition, psi: endo.VirtualEndo, n_max: int = 12) -> SuiteResult:
+    """The section is a right inverse of psi on 200 random words, and
+    conjugating the b-twist by w_n makes it survive exactly n pullbacks."""
     _require("prop84", mapdef)
-    rng = random.Random(seed)
+    samples = 200
+    rng = random.Random(11)
     result = SuiteResult("prop84")
 
     bad = 0
@@ -227,18 +218,14 @@ def _min_coset_length(v: Word, axis: Word, blocks: list[Word]) -> int:
     return best
 
 
-def verify_length_decrease(
-    mapdef: MapDefinition,
-    psi: endo.VirtualEndo,
-    samples: int = 2000,
-    seed: int = 13,
-) -> SuiteResult:
+def verify_length_decrease(mapdef: MapDefinition, psi: endo.VirtualEndo) -> SuiteResult:
     """Length behavior of the extension map in the 6-letter generating set
-    (the two generators plus the derived axis): never increasing, and the
-    b-twist conjugator admits a strictly shorter representative after a
-    double step off H."""
+    (the two generators plus the derived axis) on 2000 random words: never
+    increasing, and the b-twist conjugator admits a strictly shorter
+    representative after a double step off H."""
     _require("lemma83", mapdef)
-    rng = random.Random(seed)
+    samples = 2000
+    rng = random.Random(13)
     blocks = [mapdef.third_axis]
     b = mapdef.word("b")
 
@@ -329,15 +316,8 @@ def sweep_facts(mapdef: MapDefinition) -> list[SweepCheck]:
     return [check for maps, check in SWEEP_FACTS.values() if applies(maps, mapdef)]
 
 
-def run_suite(
-    suite: str,
-    mapdef: MapDefinition,
-    system: PullbackSystem | None = None,
-    *,
-    n_max: int = 12,
-) -> list[SuiteResult]:
+def run_suite(suite: str, mapdef: MapDefinition, *, n_max: int = 12) -> list[SuiteResult]:
     """Run one named suite, or all suites applicable to the map."""
-    system = system or PullbackSystem(mapdef)
     if suite == "all":
         names = [s for s, (maps, _) in SUITES.items() if applies(maps, mapdef)]
         if not names:
@@ -347,4 +327,5 @@ def run_suite(
             raise SuiteError(f"unknown suite {suite!r}; have {tuple(SUITES) + ('all',)}")
         _require(suite, mapdef)
         names = [suite]
-    return [SUITES[name][1](mapdef, system.psi, n_max) for name in names]
+    psi = mapdef.endomorphism()
+    return [SUITES[name][1](mapdef, psi, n_max) for name in names]

@@ -106,8 +106,7 @@ _IDENTITY = Word((), _reduced=True)
 class CyclicWord(Word):
     """A cyclically reduced word, standing for a conjugacy class.
 
-    Equality stays literal; use :func:`conjugacy_equal` to compare up to
-    rotation.
+    Equality stays literal, not up to rotation.
     """
 
     __slots__ = ()
@@ -151,25 +150,15 @@ def primitive_root(c: CyclicWord) -> tuple[CyclicWord, int]:
     raise AssertionError("unreachable: every word is its own root")
 
 
-def conjugacy_equal(u: Word, v: Word) -> bool:
-    """True iff u and v are conjugate, i.e. their cores are rotations."""
-    if u.is_identity() or v.is_identity():
-        return u.is_identity() and v.is_identity()
-    cu, _ = cyclic_reduce(u)
-    cv, _ = cyclic_reduce(v)
-    if len(cu) != len(cv):
-        return False
-    doubled = cv.codes + cv.codes
-    m = len(cu.codes)
-    return any(doubled[i : i + m] == cu.codes for i in range(m))
-
-
 def substitute(u: Word, images: Mapping[int, Word]) -> Word:
     """Apply the endomorphism sending generator index g to images[g]."""
+    table: dict[int, tuple[int, ...]] = {}
+    for g, img in images.items():
+        table[g + 1] = img.codes
+        table[-g - 1] = (~img).codes
     out: list[int] = []
     for c in u.codes:
-        img = images[abs(c) - 1]
-        out.extend(img.codes if c > 0 else (~img).codes)
+        out.extend(table[c])
     return Word(out)
 
 

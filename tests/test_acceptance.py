@@ -171,8 +171,8 @@ def test_criterion_05_dendrite_sweep():
 
 def test_criterion_06_section_identities():
     dendrite = builtin("dendrite")
-    psi = dendrite.endomorphism()
-    system = PullbackSystem(dendrite, psi)
+    system = PullbackSystem(dendrite)
+    psi = system.psi
     rng = random.Random(600)
     section_bad = sum(
         1

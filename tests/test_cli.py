@@ -337,6 +337,25 @@ def test_spectra_needs_exactly_one_source(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [["--map", "rabbit"], ["--max-steps", "5"]])
+def test_spectra_matrix_rejects_cycle_of_flags(capsys, tmp_path, extra):
+    f = tmp_path / "m.mat"
+    f.write_text("1\n1/2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["spectra", "--matrix", str(f), *extra])
+    assert exc.value.code == 2
+    assert "apply only to --cycle-of" in capsys.readouterr().err
+
+
+def test_spectra_cycle_of_takes_max_steps(capsys):
+    code, out, _ = run(capsys, "spectra", "--cycle-of", "x", "--map", "rabbit", "--max-steps", "5")
+    assert code == 0
+    assert "cycle weight product: 1/4\n" in out
+    code, _, err = run(capsys, "spectra", "--cycle-of", "x", "--map", "rabbit", "--max-steps", "2")
+    assert code == 2
+    assert "does not enter a cycle" in err
+
+
 def test_spectra_malformed_matrix(capsys, tmp_path):
     f = tmp_path / "bad.mat"
     f.write_text("2\n1 0\n")
@@ -402,7 +421,8 @@ def test_max_steps_validation(capsys):
             main(["verify", "--map", "dendrite", "--suite", "prop84", "--n", n])
         assert exc.value.code == 2
         assert f"--n must be {message}" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--map", "rabbit", "--max-len", "-1"])
-    assert exc.value.code == 2
-    assert "--max-len must be at least 0" in capsys.readouterr().err
+    for n, message in (("-1", "at least 0"), ("11", "at most 10")):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--map", "rabbit", "--max-len", n])
+        assert exc.value.code == 2
+        assert f"--max-len must be {message}" in capsys.readouterr().err
