@@ -3,9 +3,11 @@
 Each ``cmd_*`` returns its report, text lines and exit code; ``main``
 times it and emits the JSON envelope: ``command`` first, then the
 command's own keys (``map``, ``inputs``, ``results``), ``elapsed_s`` last.
-``verify --n`` is at most ``verify.MAX_SECTION_DEPTH`` (20): the prop84
-conjugator w_n has 2^(n+1) - 3 letters.  ``sweep --max-len`` is at most
-``MAX_SWEEP_LENGTH`` (10): the number of curves triples per letter.
+``verify --n`` is read only by the prop84 suite, so it is a usage error
+with any other single suite; it is at most ``verify.MAX_SECTION_DEPTH``
+(20): the prop84 conjugator w_n has 2^(n+1) - 3 letters.
+``sweep --max-len`` is at most ``MAX_SWEEP_LENGTH`` (10): the number of
+curves triples per letter.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error.  Rational weights are printed exactly as p/q;
@@ -85,7 +87,7 @@ def cmd_orbit(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     mapdef = load_map(args.map)
-    results = run_suite(args.suite, mapdef, n_max=args.n)
+    results = run_suite(args.suite, mapdef, n_max=getattr(args, "n", 12))
     lines = [f"map: {mapdef.name}"]
     suites_json = []
     for res in results:
@@ -273,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a built-in map against its reference identities")
     add_common(p_verify)
     p_verify.add_argument("--suite", required=True, choices=(*SUITES, "all"))
-    p_verify.add_argument("--n", type=int, default=12, help="depth for the prop84 suite")
+    # no default, so that main can tell a --n given with another suite
+    p_verify.add_argument("--n", type=int, default=argparse.SUPPRESS, help="depth for the prop84 suite (default 12)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="classify all curves up to a conjugator length")
@@ -314,10 +317,13 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--tol must be a positive finite number")
     if getattr(args, "max_steps", 1) < 1:
         parser.error("--max-steps must be at least 1")
-    if getattr(args, "n", 1) < 1:
-        parser.error("--n must be at least 1")
-    if getattr(args, "n", 1) > MAX_SECTION_DEPTH:
-        parser.error(f"--n must be at most {MAX_SECTION_DEPTH}")
+    if "n" in vars(args):
+        if args.suite not in ("prop84", "all"):
+            parser.error("--n applies only to --suite prop84 or all")
+        if args.n < 1:
+            parser.error("--n must be at least 1")
+        if args.n > MAX_SECTION_DEPTH:
+            parser.error(f"--n must be at most {MAX_SECTION_DEPTH}")
     if getattr(args, "max_len", 0) < 0:
         parser.error("--max-len must be at least 0")
     if getattr(args, "max_len", 0) > MAX_SWEEP_LENGTH:

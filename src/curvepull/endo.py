@@ -5,12 +5,16 @@ evaluated letter by letter while tracking the coset state of the prefix
 read so far; each (letter, state) pair contributes the image of one
 Schreier generator of H.  The homomorphism property is then structural:
 the factor decomposition telescopes to the input word.
+
+The transducer is a step table, one row per coset state: reading a
+letter in a state is a single lookup that gives the letters it emits and
+the state after it, so a scan does one lookup per input letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .words import Word, substitute
 
@@ -38,10 +42,13 @@ class ParityHom:
         return self.bits.index(1)
 
     def theta(self, w: Word) -> int:
-        s = 0
-        for c in w.codes:
-            s ^= self.bits[abs(c) - 1]
-        return s
+        """Parity of w: the number of its letters with bit 1, mod 2."""
+        codes = w.codes
+        odd = len(codes)
+        for gen, bit in enumerate(self.bits, start=1):
+            if not bit:
+                odd -= codes.count(gen) + codes.count(-gen)
+        return odd & 1
 
 
 def schreier_factor(parity: ParityHom, code: int, state: int) -> Word:
@@ -75,14 +82,14 @@ def schreier_basis(parity: ParityHom) -> tuple[Word, ...]:
 class VirtualEndo:
     """The endomorphism psi: H -> F realized as a two-state transducer.
 
-    ``transitions`` maps (letter code, state) to the output letter codes;
-    entries for all eight pairs are derived from the three declared
+    ``steps[state][letter]`` is the pair (output letter codes, state after
+    the letter).  All eight entries are derived from the three declared
     Schreier-generator images, so a single source of truth drives both
     evaluation directions.
     """
 
     parity: ParityHom
-    transitions: Mapping[tuple[int, int], tuple[int, ...]]
+    steps: tuple[Mapping[int, tuple[tuple[int, ...], int]], ...]
 
     @classmethod
     def from_images(cls, parity: ParityHom, images: Mapping[Word, Word]) -> "VirtualEndo":
@@ -91,8 +98,9 @@ class VirtualEndo:
             raise ValueError(
                 f"images must be declared exactly on the Schreier basis {basis}"
             )
-        transitions: dict[tuple[int, int], tuple[int, ...]] = {}
+        steps: tuple[dict[int, tuple[tuple[int, ...], int]], ...] = ({}, {})
         for code in (1, -1, 2, -2):
+            bit = parity.bits[abs(code) - 1]
             for state in (0, 1):
                 f = schreier_factor(parity, code, state)
                 if f.is_identity():
@@ -101,23 +109,26 @@ class VirtualEndo:
                     out = images[f]
                 else:
                     out = ~images[~f]
-                transitions[(code, state)] = out.codes
-        return cls(parity, transitions)
+                steps[state][code] = (out.codes, state ^ bit)
+        return cls(parity, steps)
 
     def in_domain(self, w: Word) -> bool:
         return self.parity.theta(w) == 0
 
     def _scan(self, w: Word, state: int) -> Word:
-        bits = self.parity.bits
-        transitions = self.transitions
+        steps = self.steps
         stack: list[int] = []
+        pop, push = stack.pop, stack.append
+        top = 0  # last letter of the stack, 0 when it is empty
         for c in w.codes:
-            for o in transitions[(c, state)]:
-                if stack and stack[-1] == -o:
-                    stack.pop()
+            out, state = steps[state][c]
+            for o in out:
+                if top == -o:
+                    pop()
+                    top = stack[-1] if stack else 0
                 else:
-                    stack.append(o)
-            state ^= bits[abs(c) - 1]
+                    push(o)
+                    top = o
         return Word(stack, _reduced=True)
 
     def apply(self, w: Word) -> Word:
@@ -159,15 +170,22 @@ def section(w: Word) -> Word:
     return substitute(w, _SECTION_IMAGES)
 
 
+def section_conjugators(n: int) -> Iterator[Word]:
+    """The conjugators w_1, ..., w_n whose b-twists survive 1, ..., n
+    pullbacks, in one pass: w_1 = a and w_k = w_(k-1) * section^(k-1)(a)."""
+    term = out = Word((1,), _reduced=True)
+    for k in range(n):
+        if k:
+            term = section(term)
+            out = out * term
+        yield out
+
+
 def section_conjugator(n: int) -> Word:
     """Conjugator w_n whose b-twist survives n pullbacks:
     w_n = a * section(a) * ... * section^(n-1)(a)."""
     if n < 1:
         raise ValueError("n must be positive")
-    a = Word((1,), _reduced=True)
-    out = a
-    term = a
-    for _ in range(n - 1):
-        term = section(term)
-        out = out * term
+    for out in section_conjugators(n):
+        pass
     return out

@@ -169,7 +169,7 @@ def verify_recursions(mapdef: MapDefinition, psi: endo.VirtualEndo) -> SuiteResu
 
 
 # Deepest prop84 check the CLI accepts: w_n has 2^(n+1) - 3 letters, and
-# n = 20 already takes about 11 s and 130 MB (2-CPU host, Python 3.11).
+# n = 20 already takes about 8-10 s and 120 MB (2-CPU host, Python 3.11).
 MAX_SECTION_DEPTH = 20
 
 
@@ -195,8 +195,7 @@ def verify_section(mapdef: MapDefinition, psi: endo.VirtualEndo, n_max: int = 12
     )
 
     b = mapdef.word("b")
-    for n in range(1, n_max + 1):
-        wn = endo.section_conjugator(n)
+    for n, wn in enumerate(endo.section_conjugators(n_max), start=1):
         g = b.conj(wn)
         for _ in range(n):
             g = psi.apply(g)

@@ -12,6 +12,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 
+_LETTERS = frozenset((1, -1, 2, -2))
+
+
 def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
     stack: list[int] = []
     for c in codes:
@@ -38,9 +41,9 @@ class Word:
             self.codes = tuple(codes)
         else:
             codes = tuple(codes)
-            for c in codes:
-                if c == 0 or abs(c) > 2:
-                    raise ValueError(f"bad letter code {c}")
+            if not _LETTERS.issuperset(codes):
+                bad = next(c for c in codes if c not in _LETTERS)
+                raise ValueError(f"bad letter code {bad}")
             self.codes = _reduce_codes(codes)
 
     @classmethod
@@ -222,9 +225,9 @@ def parse_word(text: str, names: Mapping[str, Word]) -> Word:
                 ) from None
             if exp == 0:
                 raise WordSyntaxError(f"zero exponent in token {token!r}", token=token)
+            codes.extend((names[name] ** exp).codes)
         else:
-            exp = 1
-        codes.extend((names[name] ** exp).codes)
+            codes.extend(names[name].codes)
     return Word(codes)
 
 

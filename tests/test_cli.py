@@ -421,6 +421,15 @@ def test_max_steps_validation(capsys):
             main(["verify", "--map", "dendrite", "--suite", "prop84", "--n", n])
         assert exc.value.code == 2
         assert f"--n must be {message}" in capsys.readouterr().err
+    for suite, n in (("table7", "3"), ("table7", "21"), ("recursions", "3"), ("lemma83", "0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--map", "rabbit", "--suite", suite, "--n", n])
+        assert exc.value.code == 2
+        assert "--n applies only to --suite prop84 or all" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--map", "dendrite", "--suite", "all", "--n", "21"])
+    assert exc.value.code == 2
+    assert "--n must be at most 20" in capsys.readouterr().err
     for n, message in (("-1", "at least 0"), ("11", "at most 10")):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--map", "rabbit", "--max-len", n])

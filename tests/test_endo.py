@@ -12,6 +12,7 @@ from curvepull.endo import (
     schreier_factor,
     section,
     section_conjugator,
+    section_conjugators,
 )
 from curvepull.words import Word, cyclic_reduce, primitive_root
 
@@ -81,6 +82,18 @@ def test_parity_validation():
     assert ParityHom((1, 1)).transversal_gen == 0
 
 
+def test_theta_matches_letter_xor():
+    rng = random.Random(3)
+    words = [random_reduced(rng, 64) for _ in range(300)]
+    for bits in ((0, 1), (1, 0), (1, 1)):
+        parity = ParityHom(bits)
+        for w in words:
+            want = 0
+            for c in w.codes:
+                want ^= bits[abs(c) - 1]
+            assert parity.theta(w) == want
+
+
 def test_in_domain_examples(rabbit):
     psi = rabbit.endomorphism()
     assert psi.in_domain(rabbit.word("x"))
@@ -116,6 +129,41 @@ def test_schreier_factors_telescope(rabbit):
             state ^= parity.bits[abs(c) - 1]
         assert state == 0
         assert product == w
+
+
+def schreier_product(parity, images, w, state):
+    """Reference for the transducer: the reduced product of the declared
+    images of the Schreier factors of w's letters, read from ``state``."""
+    codes = []
+    for c in w.codes:
+        f = schreier_factor(parity, c, state)
+        if not f.is_identity():
+            codes += (images[f] if f in images else ~images[~f]).codes
+        state ^= parity.bits[abs(c) - 1]
+    return Word(codes)
+
+
+def test_scan_matches_schreier_factor_product(rabbit, dendrite):
+    x, y = Word((1,)), Word((2,))
+    both_odd = ParityHom((1, 1))  # basis x x, y x, x^-1 y
+    maps = [
+        (mapdef.parity, dict(mapdef.schreier_images)) for mapdef in (rabbit, dendrite)
+    ] + [(both_odd, {x * x: y, y * x: ~x * y * y, ~x * y: Word.identity()})]
+    rng = random.Random(5)
+    words = [random_reduced(rng, 64) for _ in range(300)]
+    words += [Word(()), x, ~y] + list(section_conjugators(12))
+    for parity, images in maps:
+        psi = VirtualEndo.from_images(parity, images)
+        for w in words:
+            want = [schreier_product(parity, images, w, state) for state in (0, 1)]
+            assert [psi._scan(w, state) for state in (0, 1)] == want
+            theta = parity.theta(w)
+            assert psi.apply_hat(w) == want[theta]
+            if theta:
+                with pytest.raises(DomainError):
+                    psi.apply(w)
+            else:
+                assert psi.apply(w) == want[0]
 
 
 def test_generator_images_rabbit(rabbit):
@@ -329,6 +377,18 @@ def test_section_conjugator(dendrite):
     assert section_conjugator(2) == w("a") * section(w("a"))
     with pytest.raises(ValueError):
         section_conjugator(0)
+    # w_n = a * section(a) * ... * section^(n-1)(a), each term from scratch
+    one_pass = list(section_conjugators(12))
+    assert len(one_pass) == 12
+    for n, wn in enumerate(one_pass, start=1):
+        want = Word.identity()
+        for k in range(n):
+            term = w("a")
+            for _ in range(k):
+                term = section(term)
+            want = want * term
+        assert wn == want == section_conjugator(n)
+        assert len(wn) == 2 ** (n + 1) - 3
 
 
 def test_twisted_b_survives_n_pullbacks(dendrite):

@@ -68,6 +68,12 @@ def test_reduce_idempotent_and_length_bound():
         assert len(u * v) <= len(u) + len(v)
 
 
+def test_bad_letter_codes_are_named():
+    for codes, bad in (((1, 3), 3), ((0,), 0), ((1, -5, 2), -5)):
+        with pytest.raises(ValueError, match=f"^bad letter code {bad}$"):
+            Word(codes)
+
+
 def test_mul_inv_conj_examples():
     assert W("x") * W("x^-1") == Word.identity()
     assert W("x").conj(W("y")) == W("y^-1 x y")
