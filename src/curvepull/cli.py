@@ -4,7 +4,8 @@ Each ``cmd_*`` returns its report, text lines and exit code; ``main``
 times it and emits the JSON envelope: ``command`` first, then the
 command's own keys (``map``, ``inputs``, ``results``), ``elapsed_s`` last.
 ``verify --n`` is read only by the prop84 suite, so it is a usage error
-with any other single suite; it is at most ``verify.MAX_SECTION_DEPTH``
+with any other single suite, and with ``--suite all`` on a map that
+prop84 does not apply to; it is at most ``verify.MAX_SECTION_DEPTH``
 (20): the prop84 conjugator w_n has 2^(n+1) - 3 letters.
 ``sweep --max-len`` is at most ``MAX_SWEEP_LENGTH`` (10): the number of
 curves triples per letter.
@@ -26,7 +27,7 @@ from fractions import Fraction
 from . import spectra
 from .curves import EntersCycle, EventuallyTrivial, PullbackSystem, Unresolved
 from .mapdef import load_map
-from .verify import MAX_SECTION_DEPTH, SUITES, run_suite, sweep_facts
+from .verify import MAX_SECTION_DEPTH, SUITES, SuiteError, applies, run_suite, sweep_facts
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -87,6 +88,9 @@ def cmd_orbit(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     mapdef = load_map(args.map)
+    prop84_maps = SUITES["prop84"][0]
+    if "n" in vars(args) and args.suite == "all" and not applies(prop84_maps, mapdef):
+        raise SuiteError(f"--n applies only to the prop84 suite, which requires map {' or '.join(prop84_maps)}")
     results = run_suite(args.suite, mapdef, n_max=getattr(args, "n", 12))
     lines = [f"map: {mapdef.name}"]
     suites_json = []
@@ -117,7 +121,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 # Longest conjugator ``sweep`` accepts: the number of curves triples per
 # letter, and length 10 (196,830 curves on the rabbit) already takes about
-# 6 s and 180 MB (2-CPU host, Python 3.11).
+# 5 s and 165 MB (2-CPU host, Python 3.11).
 MAX_SWEEP_LENGTH = 10
 
 

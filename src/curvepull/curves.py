@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
 from .mapdef import MapDefinition
@@ -23,14 +24,15 @@ class PullbackError(ValueError):
     produces this, malformed user maps can."""
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
+    """A tuple, so its hash runs in C over the word's cached hash; it
+    compares equal to the plain tuple (axis, conjugator)."""
+
     axis: int  # index into the map's three axes
     conjugator: Word
 
 
-@dataclass(frozen=True)
-class PullbackStep:
+class PullbackStep(NamedTuple):
     """One application of the pullback relation.
 
     ``s`` is the minimal power in {1, 2} with twist^s liftable, ``t`` the
@@ -57,7 +59,7 @@ class EntersCycle:
     cycle_weights: tuple[Fraction, ...]
     kind = "cycle"
 
-    @property
+    @cached_property
     def weight_product(self) -> Fraction:
         out = Fraction(1)
         for w in self.cycle_weights:
@@ -242,53 +244,104 @@ class PullbackSystem:
             return PullbackStep(None, s, 0, weight)
         return PullbackStep(self.canonicalize(target, v * self.psi._scan(w, state)), s, t, weight)
 
-    def _classify(self, start: Curve, max_steps: int, steps: dict, verdicts: dict) -> Classification:
-        """Classify the orbit of the canonical curve ``start``.
+    def _classify(
+        self, starts: Iterable[Curve], max_steps: int
+    ) -> tuple[list[Classification], list[PullbackStep | None]]:
+        """Classify the orbits of the canonical curves ``starts`` in one
+        walk; also return the pullback steps taken, by curve id.
 
-        ``steps`` maps curves to pullback steps and ``verdicts`` to
-        classifications before the step cut; calls may share them.  The
-        walk follows targets to the trivial curve, a repeat, a curve with
-        a verdict, or ``max_steps`` curves.  Each curve of a new cycle sees
-        the cycle from itself, and each curve before it gets its target's
-        verdict plus one step.  A verdict that needs more than
-        ``max_steps`` pullbacks (the trivial depth, or preperiod plus
-        period) is unresolved.
+        Each distinct curve gets an int id from one dict keyed by its
+        axis and letters, in the order the walk meets it.  Lists indexed
+        by id hold the curve, its pullback step, its target's id (-1 for
+        the trivial curve) and a compact verdict: (steps, None) for an
+        eventually trivial orbit, (preperiod, id of the cycle curve it
+        enters at) for a cycle.  From each start the walk follows target
+        ids to the trivial curve, a repeat, a curve with a verdict, or
+        ``max_steps`` curves.  Each curve of a new cycle sees the cycle
+        from itself, and each curve before it gets its target's verdict
+        plus one step, so each distinct curve is pulled back once.  The
+        classification objects are built per compact verdict, at the end.
+        A verdict that needs more than ``max_steps`` pullbacks (the
+        trivial depth, or preperiod plus period) is unresolved.
         """
-        path: dict[Curve, int] = {}  # walked curve -> its position
-        cur: Curve | None = start
-        while cur is not None and cur not in verdicts and cur not in path:
-            if len(path) == max_steps:
-                return Unresolved(max_steps)
-            path[cur] = len(path)
-            step = steps.get(cur)
-            if step is None:
-                step = steps[cur] = self.pullback(cur)
-            cur = step.target
-        walked = list(path)
-        if cur in path:
-            cycle, walked = tuple(walked[path[cur] :]), walked[: path[cur]]
-            weights = tuple(steps[c].weight for c in cycle)
-            for k, c in enumerate(cycle):
-                verdicts[c] = EntersCycle(0, cycle[k:] + cycle[:k], weights[k:] + weights[:k])
-        after = EventuallyTrivial(0) if cur is None else verdicts[cur]
-        for c in reversed(walked):
-            if isinstance(after, EventuallyTrivial):
-                after = EventuallyTrivial(after.steps + 1)
+        pullback = self.pullback
+        ids: dict[tuple[int, tuple[int, ...]], int] = {}
+        curve_of: list[Curve] = []
+        step_of: list[PullbackStep | None] = []
+        next_of: list[int | None] = []  # None until pulled back
+        verdict: list[tuple[int, int | None] | None] = []
+        walked_by: list[int] = []  # the last walk that had the id on its path
+
+        def curve_id(curve: Curve) -> int:
+            key = (curve.axis, curve.conjugator.codes)
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(curve_of)
+                curve_of.append(curve)
+                step_of.append(None)
+                next_of.append(None)
+                verdict.append(None)
+                walked_by.append(-1)
+            return i
+
+        found: list[tuple[int, int | None] | None] = []  # per start; None if cut
+        for walk, start in enumerate(starts):
+            cur = curve_id(start)
+            path: list[int] = []
+            while cur >= 0 and verdict[cur] is None and walked_by[cur] != walk:
+                if len(path) == max_steps:
+                    found.append(None)
+                    break
+                walked_by[cur] = walk
+                path.append(cur)
+                nxt = next_of[cur]
+                if nxt is None:
+                    step = step_of[cur] = pullback(curve_of[cur])
+                    nxt = next_of[cur] = -1 if step.target is None else curve_id(step.target)
+                cur = nxt
             else:
-                after = EntersCycle(after.preperiod + 1, after.cycle, after.cycle_weights)
-            verdicts[c] = after
-        needed = after.steps if isinstance(after, EventuallyTrivial) else after.preperiod + len(after.cycle)
-        return after if needed <= max_steps else Unresolved(max_steps)
+                if cur >= 0 and verdict[cur] is None:  # back on the path: a new cycle
+                    k = path.index(cur)
+                    for c in path[k:]:
+                        verdict[c] = (0, c)
+                    del path[k:]
+                v = (0, None) if cur < 0 else verdict[cur]
+                n, entry = v
+                for c in reversed(path):
+                    n += 1
+                    v = verdict[c] = (n, entry)
+                found.append(v)
+
+        cut = Unresolved(max_steps)
+        made: dict[tuple[int, int | None], Classification] = {}
+        out: list[Classification] = []
+        for v in found:
+            cls = cut if v is None else made.get(v)
+            if cls is None:
+                n, entry = v
+                if entry is None:
+                    cls, needed = EventuallyTrivial(n), n
+                else:
+                    cycle = [entry]
+                    while next_of[cycle[-1]] != entry:
+                        cycle.append(next_of[cycle[-1]])
+                    cls = EntersCycle(
+                        n, tuple(curve_of[c] for c in cycle), tuple(step_of[c].weight for c in cycle)
+                    )
+                    needed = n + len(cycle)
+                cls = made[v] = cls if needed <= max_steps else cut
+            out.append(cls)
+        return out, step_of
 
     def orbit(self, curve: Curve, max_steps: int = 1000) -> OrbitResult:
         """The orbit of a curve in any spelling, cut after ``max_steps`` pullbacks."""
         if max_steps < 1:
             raise ValueError("max_steps must be positive")
         start = self.canonicalize(curve.axis, curve.conjugator)
-        steps: dict[Curve, PullbackStep] = {}
-        cls = self._classify(start, max_steps, steps, {})
-        # With no memo, the walk pulls each orbit curve back once, in order.
-        return OrbitResult(start, tuple(steps.values()), cls)
+        (cls,), steps = self._classify((start,), max_steps)
+        # One walk meets the curves in orbit order; only the last may
+        # be left without a step.
+        return OrbitResult(start, tuple(st for st in steps if st is not None), cls)
 
     def classify(self, curves: Iterable[Curve], max_steps: int = 1000) -> list[Classification]:
         """``orbit(c, max_steps).classification`` for each curve, pulling
@@ -300,9 +353,7 @@ class PullbackSystem:
         """
         if max_steps < 1:
             raise ValueError("max_steps must be positive")
-        steps: dict[Curve, PullbackStep] = {}
-        verdicts: dict[Curve, EventuallyTrivial | EntersCycle] = {}
-        return [self._classify(c, max_steps, steps, verdicts) for c in curves]
+        return self._classify(curves, max_steps)[0]
 
     # -- enumeration ---------------------------------------------------------
 
@@ -332,7 +383,8 @@ class PullbackSystem:
                             continue
                         child = Word(codes + (c,), _reduced=True)
                         curve = self.canonicalize(axis, child)
-                        if curve.conjugator == child:
+                        # canonicalize keeps a canonical word itself
+                        if curve.conjugator is child:
                             grown.append(curve)
                 layer = grown
                 out.extend(layer)

@@ -280,6 +280,10 @@ SUITES: dict[str, tuple[tuple[str, ...], Callable[[MapDefinition, endo.VirtualEn
 
 def _trivial_within_bound(system: PullbackSystem, curve: Curve, cls: Classification) -> str | None:
     if isinstance(cls, EventuallyTrivial):
+        # A block has at most two letters, so the geodesic length is at
+        # least ceil(|w|/2): within that bound, the exact one holds too.
+        if cls.steps <= 4 * ((len(curve.conjugator.codes) + 1) // 2) + 3:
+            return None
         bound = 4 * geodesic_length(curve.conjugator, [system.mapdef.third_axis]) + 3
         if cls.steps > bound:
             return f"trivial after {cls.steps} steps, bound {bound}"

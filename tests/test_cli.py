@@ -142,6 +142,23 @@ def test_orbit_bad_curve(capsys):
     assert "unknown axis" in err
 
 
+def test_word_literals_past_the_letter_cap(capsys, tmp_path):
+    # each is rejected before its letters are built, naming the token
+    for word, token in (
+        ("y^1000000000", "y^1000000000"),
+        ("y^99999999999999999999", "y^99999999999999999999"),
+        ("y^500000 x^-500001", "x^-500001"),
+    ):
+        code, _, err = run(capsys, "orbit", "--map", "rabbit", "--curve", f"x^({word})")
+        assert code == 2
+        assert f"token {token!r} takes the literal past 1000000 letters" in err
+    f = tmp_path / "huge.map"
+    f.write_text(RABBIT_TEXT.replace("schreier x -> y", "schreier x -> y^1000000000"))
+    code, _, err = run(capsys, "mapinfo", "--map", str(f))
+    assert code == 2
+    assert "'y^1000000000' takes the literal past 1000000 letters" in err
+
+
 def test_orbit_unknown_map(capsys):
     code, _, err = run(capsys, "orbit", "--map", "airplane", "--curve", "x")
     assert code == 2
@@ -430,6 +447,9 @@ def test_max_steps_validation(capsys):
         main(["verify", "--map", "dendrite", "--suite", "all", "--n", "21"])
     assert exc.value.code == 2
     assert "--n must be at most 20" in capsys.readouterr().err
+    # with --suite all, --n needs a map that prop84 applies to
+    assert main(["verify", "--map", "rabbit", "--suite", "all", "--n", "3"]) == 2
+    assert "--n applies only to the prop84 suite, which requires map dendrite" in capsys.readouterr().err
     for n, message in (("-1", "at least 0"), ("11", "at most 10")):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--map", "rabbit", "--max-len", n])

@@ -359,6 +359,25 @@ def test_classify_matches_orbit(map_name, fixed_map_text, monkeypatch):
         system.classify(canonical, 0)
 
 
+@pytest.mark.parametrize("map_name", ["rabbit", "dendrite", "fixed"])
+def test_classify_pulls_each_curve_back_once(map_name, fixed_map_text, monkeypatch):
+    mapdef = parse_mapdef(fixed_map_text) if map_name == "fixed" else builtin(map_name)
+    system = PullbackSystem(mapdef)
+    curves = system.enumerate_curves(6)
+    want = [reference_orbit(system, c, 1000).classification for c in curves]
+    pulled = []
+    pullback = PullbackSystem.pullback
+
+    def counted(self, curve):
+        pulled.append(curve)
+        return pullback(self, curve)
+
+    monkeypatch.setattr(PullbackSystem, "pullback", counted)
+    assert system.classify(curves) == want
+    assert len(pulled) == len(set(pulled))
+    assert set(curves) <= set(pulled)
+
+
 def test_enumerate_axis_count(rabbit_system):
     assert len(rabbit_system.enumerate_curves(0)) == 3
 

@@ -119,3 +119,15 @@ def test_sweep_facts_flag_what_the_paper_excludes(rabbit_system, dendrite_system
     half = Fraction(1, 2)
     assert axis_cycle(rabbit_system, x, EntersCycle(0, (y, z, x), (half, half, Fraction(1)))) is None
     assert axis_cycle(rabbit_system, x, EntersCycle(0, (x, y), (half, half))) == "unexpected cycle x -> y"
+
+
+def test_trivial_bound_past_the_shortcut_uses_the_geodesic_length(dendrite, dendrite_system):
+    # For these 3- and 4-letter conjugators the shortcut 4 ceil(|w|/2) + 3
+    # admits 11 steps; past it, the geodesic length 3 gives the bound 15.
+    # "b a a" has no c block, and "a^-1 b^-1 a^-1 b" spells a^-1 c b.
+    bound, _ = sweep_facts(dendrite)
+    for text in ("b a a", "a^-1 b^-1 a^-1 b"):
+        curve = Curve(0, dendrite.word(text))
+        for steps in (11, 12, 15):
+            assert bound(dendrite_system, curve, EventuallyTrivial(steps)) is None
+        assert bound(dendrite_system, curve, EventuallyTrivial(16)) == "trivial after 16 steps, bound 15"

@@ -273,6 +273,26 @@ def test_parse_word():
         W("x^0")
 
 
+def test_parse_word_letter_cap():
+    assert W("y^1000000") == Word((2,) * 1_000_000)
+    for text, token in (("y^1000001", "y^1000001"), ("x^999999 y x", "x"), ("x^-600000 y^-400001", "y^-400001")):
+        with pytest.raises(WordSyntaxError, match="past 1000000 letters") as exc:
+            W(text)
+        assert exc.value.token == token
+    # a derived name counts its own letters
+    with pytest.raises(WordSyntaxError, match="past 1000000 letters"):
+        parse_word("z^500001", {**NAMES, "z": W("y^-1 x^-1")})
+
+
+def test_unit_exponents_take_the_letters_directly(monkeypatch):
+    def no_power(self, n):
+        raise AssertionError("a ^1 or ^-1 token built a power")
+
+    names = {**NAMES, "z": W("y^-1 x^-1")}
+    monkeypatch.setattr(Word, "__pow__", no_power)
+    assert parse_word("x^1 y^-1 z^-1 z^1 x", names) == Word((1, -2, 1, 2, -2, -1, 1))
+
+
 def test_format_word_round_trip():
     rng = random.Random(107)
     for _ in range(500):
