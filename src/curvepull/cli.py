@@ -201,7 +201,7 @@ def cmd_spectra(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         try:
             lam = spectra.leading_eigenvalue(matrix, tol=args.tol)
         except ArithmeticError:
-            # a defective dominant eigenvalue can outlast the iteration cap;
+            # a nearly decomposable block can outlast the iteration cap;
             # the exact verdict does not depend on the estimate
             lam = None
         cycle_results = {}
@@ -217,8 +217,7 @@ def cmd_spectra(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             )
         # The cycle matrix is a weighted p-cycle: rho^p is its weight product.
         product, p = cls.weight_product, len(cls.cycle)
-        # p-th root through logs: the product can lie outside float range
-        lam = math.exp((math.log(product.numerator) - math.log(product.denominator)) / p)
+        lam = spectra.cycle_radius(product, p)
         contracting = product < 1
         cycle_results = {"cycle_weight_product": _frac(product), "cycle_length": p}
         report_inputs.update({"map": mapdef.name, "curve": args.cycle_of})

@@ -1,11 +1,12 @@
-"""Exact contraction tests for nonnegative rational matrices.
+"""Spectral radius and exact contraction tests for nonnegative rational matrices.
 
-The decision rho(A) < 1 is made in exact arithmetic: for nonnegative A
-it holds iff every leading principal minor of I - A is positive, and
-fraction-free integer elimination reads those signs off its pivots.  A
-floating-point shifted power iteration provides the leading-eigenvalue
-estimate, and an exact integer growth-rate estimator serves as an
-independent oracle for it.
+Both are read off one split of A into irreducible diagonal blocks, each
+with a cyclic index d and a primitive class product P: rho(A) is the
+largest rho(P)^(1/d).  rho(A) < 1 is decided exactly, from the signs of
+the leading minors of each I - P, which fraction-free integer elimination
+reads off its pivots.  The leading eigenvalue is exact for a 1x1 P, as
+for a cycle, and comes from power iteration on a larger one; an exact
+integer growth-rate estimator serves as an independent oracle for it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -44,23 +45,71 @@ class RationalMatrix:
         return [sum(row[j] * v[j] for j in range(self.n)) for row in self.entries]
 
 
-def is_contracting(a: RationalMatrix) -> bool:
-    """Exact decision of rho(A) < 1 from the signs of the leading minors.
+def _blocks(a: RationalMatrix) -> Iterator[tuple[int, list[list[Fraction]]]]:
+    """Yield (d, P) for each irreducible diagonal block B of A with a cycle.
 
-    For nonnegative A, rho(A) < 1 iff the Z-matrix I - A is a nonsingular
-    M-matrix, iff every leading principal minor of I - A is positive
-    (Berman-Plemmons, Thm 6.2.3).  Each row of I - A is scaled by the lcm
+    The blocks are the strongly connected components of A's nonzero
+    pattern; a vertex on no cycle adds only the eigenvalue 0.  d is B's
+    cyclic index, the gcd of level[i] + 1 - level[j] over its edges i -> j
+    with BFS levels, and P is B^d on the vertices of level 0 mod d: a
+    primitive matrix with rho(P) = rho(B)^d, B itself when d = 1 and 1x1
+    for a pure cycle (Berman-Plemmons, ch. 2).
+    """
+    n = a.n
+    succ = [[(j, e) for j, e in enumerate(row) if e] for row in a.entries]
+    # reach[i]: bitmask of the ends of the paths of length >= 1 from i (Warshall)
+    reach = [sum(1 << j for j, _ in s) for s in succ]
+    for k in range(n):
+        bit, through = 1 << k, reach[k]
+        reach = [r | through if r & bit else r for r in reach]
+    for i in range(n):
+        # the vertices i reaches that reach i back; empty if i is on no cycle
+        block = [j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1]
+        if block[:1] != [i]:  # no cycle, or i is not the block's first vertex
+            continue
+        members = set(block)
+        inner = {v: [(j, e) for j, e in succ[v] if j in members] for v in block}
+        level = {i: 0}
+        queue = [i]
+        for v in queue:
+            for j, _ in inner[v]:
+                if j not in level:
+                    level[j] = level[v] + 1
+                    queue.append(j)
+        d = math.gcd(*(level[v] + 1 - level[j] for v in block for j, _ in inner[v]))
+        first = [v for v in block if level[v] % d == 0]
+        p = []
+        for v in first:
+            x = dict(inner[v])  # row v of B, then of B^2, ..., B^d
+            for _ in range(d - 1):
+                y = {}
+                for k, c in x.items():
+                    for j, e in inner[k]:
+                        y[j] = y.get(j, 0) + c * e
+                x = y
+            p.append([x.get(w, 0) for w in first])
+        yield d, p
+
+
+def is_contracting(a: RationalMatrix) -> bool:
+    """Exact decision of rho(A) < 1: rho(P) < 1 for every P of ``_blocks``.
+
+    For nonnegative P, rho(P) < 1 iff the Z-matrix I - P is a nonsingular
+    M-matrix, iff every leading principal minor of I - P is positive
+    (Berman-Plemmons, Thm 6.2.3).  Each row of I - P is scaled by the lcm
     of its denominators, which keeps the sign of every leading minor, and
     fraction-free (Bareiss) elimination without pivoting then yields those
     minors as its successive pivots; the first one that is not positive
     decides False.
     """
+    return all(_minors_positive(p) for _, p in _blocks(a))
+
+
+def _minors_positive(rows: list[list[Fraction]]) -> bool:
     m = []
-    for i, row in enumerate(a.entries):
+    for i, row in enumerate(rows):
         d = math.lcm(*(e.denominator for e in row))
-        m.append(
-            [(d if i == j else 0) - e.numerator * (d // e.denominator) for j, e in enumerate(row)]
-        )
+        m.append([(d if i == j else 0) - e.numerator * (d // e.denominator) for j, e in enumerate(row)])
     prev = 1
     for k, pivot_row in enumerate(m):
         p = pivot_row[k]
@@ -75,45 +124,44 @@ def is_contracting(a: RationalMatrix) -> bool:
     return True
 
 
-# Steps of power iteration before leading_eigenvalue gives up: a defective
-# dominant eigenvalue converges only like 1/k and can reach it.
+def cycle_radius(product: Fraction, period: int) -> float:
+    """rho of a weighted cycle, the period-th root of its weight product,
+    through logs: the product can lie outside float range."""
+    return math.exp((math.log(product.numerator) - math.log(product.denominator)) / period)
+
+
+# Steps of power iteration on one class product before leading_eigenvalue
+# gives up: a nearly decomposable block converges too slowly for a tight tol.
 MAX_POWER_ITERATIONS = 100_000
 
 
 def leading_eigenvalue(a: RationalMatrix, tol: float = 1e-10) -> float:
-    """Spectral radius by power iteration on (lam/4) I + A, lam the current
-    estimate, from the all-ones vector.
+    """Spectral radius: the largest rho(P)^(1/d) over ``_blocks``, 0.0 if none.
 
-    For any s > 0, rho(A) + s is the only eigenvalue of s I + A of that
-    modulus, so this converges for every period of an imprimitive matrix,
-    and a shift scaled with the estimate makes it independent of A's scale.
-    Iterates v are L1-normalized and the estimate is |A v|_1.  ``tol`` is
+    A 1x1 P is read as ``cycle_radius(P, d)``.  A larger P is primitive,
+    so unshifted power iteration from the uniform vector converges on it;
+    iterates v are L1-normalized, the estimate is |P v|_1, and ``tol`` is
     the stopping threshold on the largest coordinate change of v.
     """
-    n = a.n
-    rows = [[(j, float(e)) for j, e in enumerate(row) if e] for row in a.entries]
-    # A nilpotent matrix (A^n 1 = 0) has rho = 0: the estimate would only
-    # creep toward it, and A = 0 would leave a zero shift to divide by.
-    v = [1.0] * n
-    for _ in range(n):
-        v = [sum(e * v[j] for j, e in row) for row in rows]
-        norm = sum(v)
-        if norm == 0.0:
-            return 0.0
-        v = [x / norm for x in v]
-    v = [1.0 / n] * n
+    return max((_block_radius(d, p, tol) for d, p in _blocks(a)), default=0.0)
+
+
+def _block_radius(d: int, p: list[list[Fraction]], tol: float) -> float:
+    if len(p) == 1:
+        return cycle_radius(p[0][0], d)
+    # P / 2^k, k its largest binary exponent, keeps a long class product in float range
+    k = max(e.numerator.bit_length() - e.denominator.bit_length() for row in p for e in row if e)
+    rows = [[(j, (e.numerator << max(-k, 0)) / (e.denominator << max(k, 0))) for j, e in enumerate(row) if e]
+            for row in p]
+    v = [1.0 / len(p)] * len(p)
     for _ in range(MAX_POWER_ITERATIONS):
-        av = [sum(e * v[j] for j, e in row) for row in rows]
-        lam = sum(av)
-        # a smaller shift damps a cycle's rotation more slowly, a larger one
-        # slows the 1/k convergence of a defective dominant eigenvalue
-        nxt = [(x + 4.0 * y / lam) / 5.0 for x, y in zip(v, av)]
+        pv = [sum(e * v[j] for j, e in row) for row in rows]
+        lam = sum(pv)
+        nxt = [x / lam for x in pv]
         if max(abs(x - y) for x, y in zip(nxt, v)) <= tol:
-            return lam
+            return lam ** (1 / d) * 2.0 ** (k / d)
         v = nxt
-    raise ArithmeticError(
-        f"power iteration did not converge within {MAX_POWER_ITERATIONS} iterations"
-    )
+    raise ArithmeticError(f"power iteration did not converge within {MAX_POWER_ITERATIONS} iterations")
 
 
 @dataclass(frozen=True)
@@ -180,6 +228,10 @@ def contraction_coefficient_estimate(
     return best
 
 
+# The largest dimension parse_matrix accepts: a dense primitive block takes seconds at 200.
+MAX_MATRIX_DIM = 200
+
+
 def parse_matrix(text: str) -> RationalMatrix:
     """Matrix file format: first line n, then n rows of n nonnegative
     rationals, each an integer, p/q or a decimal such as 0.25."""
@@ -192,6 +244,8 @@ def parse_matrix(text: str) -> RationalMatrix:
         raise ValueError(f"first line must be the dimension, got {lines[0]!r}") from None
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
+    if n > MAX_MATRIX_DIM:
+        raise ValueError(f"dimension {n} is more than the {MAX_MATRIX_DIM} accepted")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows after the dimension, got {len(lines) - 1}")
     rows = []

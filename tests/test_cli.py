@@ -247,6 +247,15 @@ def test_sweep_parallel_matches_serial(capsys):
     assert doc1["results"] == doc2["results"]
 
 
+def _cycle_text(weights):
+    """The matrix file of the cycle i -> i + 1 with weights[i] on that edge."""
+    p = len(weights)
+    rows = [["0"] * p for _ in range(p)]
+    for i, w in enumerate(weights):
+        rows[(i + 1) % p][i] = w
+    return f"{p}\n" + "\n".join(" ".join(r) for r in rows) + "\n"
+
+
 def test_spectra_matrix_file(capsys, tmp_path):
     f = tmp_path / "m.mat"
     f.write_text("2\n1/2 0\n0 1/3\n")
@@ -261,10 +270,7 @@ def test_spectra_matrix_file(capsys, tmp_path):
     assert doc["results"]["contracting"] is False
 
     # a 16-cycle with weight product 1/2 still gets an eigenvalue and verdict
-    rows = [["0"] * 16 for _ in range(16)]
-    for i in range(16):
-        rows[(i + 1) % 16][i] = "1/2" if i == 0 else "1"
-    f.write_text("16\n" + "\n".join(" ".join(r) for r in rows) + "\n")
+    f.write_text(_cycle_text(["1/2"] + ["1"] * 15))
     code, doc = run_json(capsys, "spectra", "--matrix", str(f))
     assert code == 0
     assert doc["results"]["contracting"] is True
@@ -279,29 +285,34 @@ def test_spectra_matrix_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, rho, contracting",
+    "text, eigen, contracting",
     [
-        pytest.param("2\n4/5 1\n0 4/5\n", 0.8, True, id="2x2-4/5"),
-        pytest.param("2\n1 1\n0 1\n", 1.0, False, id="2x2-1"),
-        pytest.param("3\n1/2 1 0\n0 1/2 1\n0 0 1/2\n", 0.5, True, id="3x3-1/2"),
+        pytest.param("2\n4/5 1\n0 4/5\n", "0.8", True, id="2x2-4/5"),
+        pytest.param("2\n1 1\n0 1\n", "1", False, id="2x2-1"),
+        pytest.param("3\n1/2 1 0\n0 1/2 1\n0 0 1/2\n", "0.5", True, id="3x3-1/2"),
+        pytest.param("3\n1 1 0\n0 1 1\n0 0 1\n", "1", False, id="3x3-1"),
+        # nearly decomposable: eigenvalues 1 and 1 - 3e-7 outlast the cap
+        pytest.param("2\n0.9999999 0.0000002\n0.0000001 0.9999998\n", "not converged", False, id="near-1"),
+        # an 11-cycle whose weights multiply to 1: rho is 1 to the last digit
+        pytest.param(_cycle_text("2 1/2 3 1/3 5 1/5 7 1/7 3/2 2/3 1".split()), "1", False, id="11-cycle-product-1"),
     ],
 )
-def test_spectra_keeps_the_exact_verdict_on_jordan_blocks(capsys, tmp_path, text, rho, contracting):
-    # the float iteration crawls like 1/k on a defective dominant
-    # eigenvalue and can hit its cap; the exact verdict is reported anyway
+def test_spectra_keeps_the_exact_verdict_on_jordan_blocks(capsys, tmp_path, text, eigen, contracting):
+    # each diagonal entry of a Jordan block is a block of its own, and a
+    # cycle's class product is 1x1, so rho is exact; where the iteration
+    # does hit its cap, the exact verdict is reported anyway
     f = tmp_path / "m.mat"
     f.write_text(text)
     code, out, _ = run(capsys, "spectra", "--matrix", str(f))
     assert code == 0
-    eigen_line, verdict_line = out.splitlines()[-2:]
-    assert verdict_line == f"contracting: {'true' if contracting else 'false'}"
+    assert out.splitlines()[-2:] == [f"leading eigenvalue: {eigen}", f"contracting: {'true' if contracting else 'false'}"]
     code, doc = run_json(capsys, "spectra", "--matrix", str(f))
     assert code == 0 and doc["results"]["contracting"] is contracting
     lam = doc["results"]["leading_eigenvalue"]
-    if eigen_line == "leading eigenvalue: not converged":
+    if eigen == "not converged":
         assert lam is None
     else:
-        assert abs(lam - rho) < 1e-3
+        assert lam == pytest.approx(float(eigen), rel=1e-12)
 
 
 def test_spectra_cycle_of(capsys):
@@ -399,6 +410,12 @@ def test_spectra_malformed_matrix(capsys, tmp_path):
     code, _, err = run(capsys, "spectra", "--matrix", str(f))
     assert code == 2
     assert err == "error: row 2, column 1: entry has 5000 digits, more than the 4300 accepted\n"
+
+    # the cap is checked before any row is read
+    f.write_text("201\n")
+    code, _, err = run(capsys, "spectra", "--matrix", str(f))
+    assert code == 2
+    assert err == "error: dimension 201 is more than the 200 accepted\n"
 
 
 def test_mapinfo(capsys):

@@ -82,8 +82,8 @@ def test_leading_eigenvalue_permutation():
 
 
 def test_leading_eigenvalue_rabbit_cycle():
-    # the cycle matrix is imprimitive with period 3; shifted power
-    # iteration still converges to the cube root of the cycle weight product
+    # the cycle matrix is imprimitive with period 3; its class product is
+    # the 1x1 cycle weight product, whose cube root is rho
     lam = leading_eigenvalue(RABBIT_CYCLE, tol=1e-12)
     assert abs(lam - 0.25 ** (1 / 3)) < 1e-9
     assert abs(lam ** 3 - 0.25) < 1e-9
@@ -95,6 +95,11 @@ def _weighted_cycle(weights):
     for i, w in enumerate(weights):
         rows[(i + 1) % p][i] = w
     return RationalMatrix.from_rows(rows)
+
+
+def _two_cyclic(c):
+    """Classes {0, 1} and {2, 3}, every entry between them c."""
+    return RationalMatrix.from_rows([[0, 0, c, c], [0, 0, c, c], [c, c, 0, 0], [c, c, 0, 0]])
 
 
 @pytest.mark.parametrize(
@@ -115,8 +120,25 @@ def _weighted_cycle(weights):
         pytest.param(
             RationalMatrix.from_rows([[Fraction(1, 1000), 0], [0, Fraction(9, 10000)]]), 1e-3, 1e-9, id="diag-1/1000"
         ),
-        # a defective dominant eigenvalue: the iterate converges only like 1/k
-        pytest.param(RationalMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(1, 2)]]), 0.5, 1e-4, id="jordan-1/2"),
+        # defective dominant eigenvalues: each diagonal entry is its own block
+        pytest.param(RationalMatrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(1, 2)]]), 0.5, 1e-12, id="jordan-1/2"),
+        pytest.param(RationalMatrix.from_rows([[1, 1], [0, 1]]), 1.0, 1e-12, id="jordan-1"),
+        pytest.param(RationalMatrix.from_rows([[Fraction(4, 5), 1], [0, Fraction(4, 5)]]), 0.8, 1e-12, id="jordan-4/5"),
+        pytest.param(RationalMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), 1.0, 1e-12, id="jordan-3x3-1"),
+        # badly balanced: the class product of the 2-cycle is 1/2
+        pytest.param(_weighted_cycle([500000, Fraction(1, 10**6)]), 0.5 ** 0.5, 1e-12, id="2cycle-5e5-1e-6"),
+        pytest.param(
+            RationalMatrix.from_rows([[0, 0], [Fraction(1000, 3), Fraction(1, 375)]]), 1 / 375, 1e-12, id="loop-1/375"
+        ),
+        pytest.param(
+            _weighted_cycle([3] + [Fraction(1, 2)] * 99), (3 / 2**99) ** (1 / 100), 1e-12,
+            id="period100",
+        ),
+        # a 2-cyclic block whose class product leaves float range: rho = 2c
+        *(
+            pytest.param(_two_cyclic(c), 2 * float(c), 1e-12, id=f"2cyclic-entries-{name}")
+            for c, name in ((Fraction(10**200), "1e200"), (Fraction(1, 10**200), "1e-200"))
+        ),
     ],
 )
 def test_leading_eigenvalue_slow_cases(a, rho, rel):
@@ -139,14 +161,17 @@ def test_leading_eigenvalue_diagonal():
 
 def test_leading_eigenvalue_zero_matrix():
     assert leading_eigenvalue(RationalMatrix.from_rows([[0, 0], [0, 0]])) == 0.0
-    # nilpotent: the shifted iteration alone would only creep toward 0
+    # nilpotent: no vertex lies on a cycle
     assert leading_eigenvalue(RationalMatrix.from_rows([[0, 5], [0, 0]])) == 0.0
 
 
 def test_leading_eigenvalue_nonconvergence_names_cap():
-    # a defective dominant eigenvalue drifts like 1/k, which cannot meet
-    # a tight tolerance within the iteration cap
-    a = RationalMatrix.from_rows([[1, 1], [0, 1]])
+    # a nearly decomposable primitive block: its second eigenvalue
+    # 1 - 3e-7 is so close to rho = 1 that the iteration cannot meet a
+    # tight tolerance within the cap
+    a = RationalMatrix.from_rows(
+        [[Fraction(9999999, 10**7), Fraction(2, 10**7)], [Fraction(1, 10**7), Fraction(9999998, 10**7)]]
+    )
     with pytest.raises(ArithmeticError, match="100000"):
         leading_eigenvalue(a, tol=1e-14)
 
@@ -210,6 +235,31 @@ def _nilpotent_rows(rng, n):
     return _permuted(rng, strict)
 
 
+def _cyclic_rows(rng, tail):
+    """A d-cyclic irreducible block, d in 2..5 with classes of 1-4 vertices,
+    above a reducible tail of ``tail`` vertices that it feeds, permuted."""
+    d = rng.randint(2, 5)
+    classes, start = [], 0
+    for size in (rng.randint(1, 4) for _ in range(d)):
+        classes.append(range(start, start + size))
+        start += size
+    n = start + tail
+    rows = [[0] * n for _ in range(n)]
+    for c, here in enumerate(classes):
+        there = classes[(c + 1) % d]
+        for i in here:
+            # the first vertex of each class links to and from every vertex
+            # of its neighbour classes, which makes the block irreducible
+            for j in there:
+                if i == here[0] or j == there[0] or rng.random() < 0.5:
+                    rows[i][j] = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+            for j in range(start, n):
+                rows[i][j] = Fraction(rng.randint(0, 2), 2)
+    for i, row in enumerate(_scaled(_random_rows(rng, tail), Fraction(1, 4))):
+        rows[start + i][start:] = row
+    return _permuted(rng, rows)
+
+
 def _scaled(rows, c):
     return [[c * e for e in row] for row in rows]
 
@@ -224,6 +274,7 @@ def test_is_contracting_matches_inverse_reference():
         "stochastic*999/1000": lambda n: _scaled(_stochastic_rows(rng, n, 0.3), Fraction(999, 1000)),
         "stochastic*1001/1000": lambda n: _scaled(_stochastic_rows(rng, n, 0.3), Fraction(1001, 1000)),
         "nilpotent": lambda n: _nilpotent_rows(rng, n),
+        "d-cyclic": lambda n: _cyclic_rows(rng, n // 3),
     }
     verdicts = {name: set() for name in families}
     for name, make in families.items():
@@ -235,10 +286,21 @@ def test_is_contracting_matches_inverse_reference():
     swap = RationalMatrix.from_rows([[0, 1], [1, 0]])
     assert is_contracting(swap) is _contracting_by_inverse(swap) is False
     # each family lands where rho puts it, so the agreement is not vacuous
-    assert verdicts["random"] == {True, False}
+    assert verdicts["random"] == verdicts["d-cyclic"] == {True, False}
     assert verdicts["block-triangular"] == verdicts["stochastic"] == verdicts["permutation"] == {False}
     assert verdicts["stochastic*1001/1000"] == {False}
     assert verdicts["stochastic*999/1000"] == verdicts["nilpotent"] == {True}
+
+
+def test_leading_eigenvalue_is_bracketed_exactly_on_cyclic_blocks():
+    # rho(A) < t iff A / t is contracting, so two exact verdicts pin the
+    # estimate read off a d-step class product to within 1e-9
+    rng = random.Random(36)
+    for _ in range(100):
+        a = RationalMatrix.from_rows(_cyclic_rows(rng, rng.randint(0, 3)))
+        lam = Fraction(leading_eigenvalue(a, tol=1e-13))
+        for t, below in ((lam * (1 + Fraction(1, 10**9)), True), (lam * (1 - Fraction(1, 10**9)), False)):
+            assert is_contracting(RationalMatrix.from_rows([[e / t for e in row] for row in a.entries])) is below, a
 
 
 @pytest.mark.parametrize("row_sum", [Fraction(1), Fraction(999999, 1000000)], ids=["1", "999999/1000000"])
@@ -344,6 +406,9 @@ def test_parse_matrix():
         parse_matrix("2\n1 0\n0 -1/3\n")
     with pytest.raises(ValueError, match="empty"):
         parse_matrix("\n")
+    with pytest.raises(ValueError, match=r"^dimension 201 is more than the 200 accepted$"):
+        parse_matrix("201\n" + "0 " * 201 + "\n")
+    assert parse_matrix("200\n" + ("0 " * 200 + "\n") * 200).n == 200
 
 
 def test_neumann_series_cross_check():
