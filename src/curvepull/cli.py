@@ -22,7 +22,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 
 from . import spectra
 from .curves import EntersCycle, EventuallyTrivial, PullbackSystem, Unresolved
@@ -31,10 +30,6 @@ from .verify import MAX_SECTION_DEPTH, SUITES, SuiteError, applies, run_suite, s
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def _emit(report: dict, fmt: str, lines: list[str]) -> None:
@@ -52,9 +47,9 @@ def cmd_orbit(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     steps_json = []
     for i, step in enumerate(result.steps, start=1):
         target = "o" if step.target is None else system.format_curve(step.target)
-        lines.append(f"step {i}: target {target}  s {step.s}  t {step.t}  weight {_frac(step.weight)}")
+        lines.append(f"step {i}: target {target}  s {step.s}  t {step.t}  weight {step.weight}")
         steps_json.append(
-            {"target": None if step.target is None else target, "s": step.s, "t": step.t, "weight": _frac(step.weight)}
+            {"target": None if step.target is None else target, "s": step.s, "t": step.t, "weight": str(step.weight)}
         )
     cls = result.classification
     if isinstance(cls, EventuallyTrivial):
@@ -62,8 +57,8 @@ def cmd_orbit(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         cls_json: dict = {"kind": "trivial", "steps": cls.steps}
     elif isinstance(cls, EntersCycle):
         cycle = [system.format_curve(c) for c in cls.cycle]
-        weights = [_frac(w) for w in cls.cycle_weights]
-        product = _frac(cls.weight_product)
+        weights = [str(w) for w in cls.cycle_weights]
+        product = str(cls.weight_product)
         lines.append(f"classification: enters cycle, preperiod {cls.preperiod}, period {len(cls.cycle)}")
         lines.append("cycle: " + " -> ".join(cycle))
         lines.append("cycle weights: " + " ".join(weights))
@@ -126,13 +121,8 @@ MAX_SWEEP_LENGTH = 10
 
 
 def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
-    """Classify every curve with conjugator length <= max_len.
-
-    Returns histogram data plus any counterexamples: unresolved orbits,
-    cycles whose weight product is at least 1 (an obstruction finding),
-    and curves that break a sweep fact of the paper applying to the map
-    (``verify.SWEEP_FACTS``).
-    """
+    """Classify every curve with conjugator length <= max_len; return the
+    histogram and the counterexamples found by ``verify.sweep_facts``."""
     curves = system.enumerate_curves(max_len)
     facts = sweep_facts(system.mapdef)
     histogram: dict[tuple[str, int], int] = {}
@@ -142,14 +132,8 @@ def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
             key = ("trivial", cls.steps)
         elif isinstance(cls, EntersCycle):
             key = ("cycle", cls.preperiod)
-            if cls.weight_product >= 1:
-                counterexamples.append(
-                    f"{system.format_curve(curve)}: obstruction, cycle weight "
-                    f"product {_frac(cls.weight_product)} >= 1"
-                )
         else:
             key = ("unresolved", 0)
-            counterexamples.append(f"{system.format_curve(curve)}: unresolved")
         histogram[key] = histogram.get(key, 0) + 1
         for check in facts:
             problem = check(system, curve, cls)
@@ -219,14 +203,15 @@ def cmd_spectra(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         product, p = cls.weight_product, len(cls.cycle)
         lam = spectra.cycle_radius(product, p)
         contracting = product < 1
-        cycle_results = {"cycle_weight_product": _frac(product), "cycle_length": p}
+        cycle_results = {"cycle_weight_product": str(product), "cycle_length": p}
         report_inputs.update({"map": mapdef.name, "curve": args.cycle_of})
         lines.append(f"map: {mapdef.name}")
         lines.append("cycle: " + " -> ".join(system.format_curve(c) for c in cls.cycle))
-        lines.append(f"cycle weight product: {_frac(product)}")
+        lines.append(f"cycle weight product: {product}")
     lines.append(f"leading eigenvalue: {'not converged' if lam is None else format(lam, '.12g')}")
     lines.append(f"contracting: {'true' if contracting else 'false'}")
-    results = {"leading_eigenvalue": lam, "contracting": contracting, **cycle_results}
+    # JSON has no infinity: a rho beyond float range reads null there
+    results = {"leading_eigenvalue": None if lam == math.inf else lam, "contracting": contracting, **cycle_results}
     return {"inputs": report_inputs, "results": results}, lines, 0
 
 

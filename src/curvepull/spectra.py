@@ -15,7 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -44,55 +45,57 @@ class RationalMatrix:
     def apply(self, v: Sequence[Fraction]) -> list[Fraction]:
         return [sum(row[j] * v[j] for j in range(self.n)) for row in self.entries]
 
+    @cached_property
+    def _blocks(self) -> tuple[tuple[int, tuple[tuple[Fraction, ...], ...]], ...]:
+        """(d, P) for each irreducible diagonal block B of A with a cycle.
 
-def _blocks(a: RationalMatrix) -> Iterator[tuple[int, list[list[Fraction]]]]:
-    """Yield (d, P) for each irreducible diagonal block B of A with a cycle.
-
-    The blocks are the strongly connected components of A's nonzero
-    pattern; a vertex on no cycle adds only the eigenvalue 0.  d is B's
-    cyclic index, the gcd of level[i] + 1 - level[j] over its edges i -> j
-    with BFS levels, and P is B^d on the vertices of level 0 mod d: a
-    primitive matrix with rho(P) = rho(B)^d, B itself when d = 1 and 1x1
-    for a pure cycle (Berman-Plemmons, ch. 2).
-    """
-    n = a.n
-    succ = [[(j, e) for j, e in enumerate(row) if e] for row in a.entries]
-    # reach[i]: bitmask of the ends of the paths of length >= 1 from i (Warshall)
-    reach = [sum(1 << j for j, _ in s) for s in succ]
-    for k in range(n):
-        bit, through = 1 << k, reach[k]
-        reach = [r | through if r & bit else r for r in reach]
-    for i in range(n):
-        # the vertices i reaches that reach i back; empty if i is on no cycle
-        block = [j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1]
-        if block[:1] != [i]:  # no cycle, or i is not the block's first vertex
-            continue
-        members = set(block)
-        inner = {v: [(j, e) for j, e in succ[v] if j in members] for v in block}
-        level = {i: 0}
-        queue = [i]
-        for v in queue:
-            for j, _ in inner[v]:
-                if j not in level:
-                    level[j] = level[v] + 1
-                    queue.append(j)
-        d = math.gcd(*(level[v] + 1 - level[j] for v in block for j, _ in inner[v]))
-        first = [v for v in block if level[v] % d == 0]
-        p = []
-        for v in first:
-            x = dict(inner[v])  # row v of B, then of B^2, ..., B^d
-            for _ in range(d - 1):
-                y = {}
-                for k, c in x.items():
-                    for j, e in inner[k]:
-                        y[j] = y.get(j, 0) + c * e
-                x = y
-            p.append([x.get(w, 0) for w in first])
-        yield d, p
+        The blocks are the strongly connected components of A's nonzero
+        pattern; a vertex on no cycle adds only the eigenvalue 0.  d is B's
+        cyclic index, the gcd of level[i] + 1 - level[j] over its edges i -> j
+        with BFS levels, and P is B^d on the vertices of level 0 mod d: a
+        primitive matrix with rho(P) = rho(B)^d, B itself when d = 1 and 1x1
+        for a pure cycle (Berman-Plemmons, ch. 2).
+        """
+        n = self.n
+        succ = [[(j, e) for j, e in enumerate(row) if e] for row in self.entries]
+        # reach[i]: bitmask of the ends of the paths of length >= 1 from i (Warshall)
+        reach = [sum(1 << j for j, _ in s) for s in succ]
+        for k in range(n):
+            bit, through = 1 << k, reach[k]
+            reach = [r | through if r & bit else r for r in reach]
+        out = []
+        for i in range(n):
+            # the vertices i reaches that reach i back; empty if i is on no cycle
+            block = [j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1]
+            if block[:1] != [i]:  # no cycle, or i is not the block's first vertex
+                continue
+            members = set(block)
+            inner = {v: [(j, e) for j, e in succ[v] if j in members] for v in block}
+            level = {i: 0}
+            queue = [i]
+            for v in queue:
+                for j, _ in inner[v]:
+                    if j not in level:
+                        level[j] = level[v] + 1
+                        queue.append(j)
+            d = math.gcd(*(level[v] + 1 - level[j] for v in block for j, _ in inner[v]))
+            first = [v for v in block if level[v] % d == 0]
+            p = []
+            for v in first:
+                x = dict(inner[v])  # row v of B, then of B^2, ..., B^d
+                for _ in range(d - 1):
+                    y = {}
+                    for k, c in x.items():
+                        for j, e in inner[k]:
+                            y[j] = y.get(j, 0) + c * e
+                    x = y
+                p.append(tuple(x.get(w, 0) for w in first))
+            out.append((d, tuple(p)))
+        return tuple(out)
 
 
 def is_contracting(a: RationalMatrix) -> bool:
-    """Exact decision of rho(A) < 1: rho(P) < 1 for every P of ``_blocks``.
+    """Exact decision of rho(A) < 1: rho(P) < 1 for every P of ``a._blocks``.
 
     For nonnegative P, rho(P) < 1 iff the Z-matrix I - P is a nonsingular
     M-matrix, iff every leading principal minor of I - P is positive
@@ -102,10 +105,10 @@ def is_contracting(a: RationalMatrix) -> bool:
     minors as its successive pivots; the first one that is not positive
     decides False.
     """
-    return all(_minors_positive(p) for _, p in _blocks(a))
+    return all(_minors_positive(p) for _, p in a._blocks)
 
 
-def _minors_positive(rows: list[list[Fraction]]) -> bool:
+def _minors_positive(rows: Sequence[Sequence[Fraction]]) -> bool:
     m = []
     for i, row in enumerate(rows):
         d = math.lcm(*(e.denominator for e in row))
@@ -126,8 +129,11 @@ def _minors_positive(rows: list[list[Fraction]]) -> bool:
 
 def cycle_radius(product: Fraction, period: int) -> float:
     """rho of a weighted cycle, the period-th root of its weight product,
-    through logs: the product can lie outside float range."""
-    return math.exp((math.log(product.numerator) - math.log(product.denominator)) / period)
+    through logs: the product can lie outside float range, and inf past it."""
+    try:
+        return math.exp((math.log(product.numerator) - math.log(product.denominator)) / period)
+    except OverflowError:
+        return math.inf
 
 
 # Steps of power iteration on one class product before leading_eigenvalue
@@ -136,17 +142,18 @@ MAX_POWER_ITERATIONS = 100_000
 
 
 def leading_eigenvalue(a: RationalMatrix, tol: float = 1e-10) -> float:
-    """Spectral radius: the largest rho(P)^(1/d) over ``_blocks``, 0.0 if none.
+    """Spectral radius: the largest rho(P)^(1/d) over ``a._blocks``, 0.0 if none.
 
     A 1x1 P is read as ``cycle_radius(P, d)``.  A larger P is primitive,
     so unshifted power iteration from the uniform vector converges on it;
     iterates v are L1-normalized, the estimate is |P v|_1, and ``tol`` is
-    the stopping threshold on the largest coordinate change of v.
+    the stopping threshold on the largest coordinate change of v.  A rho
+    beyond float range is inf; ArithmeticError means the iteration cap.
     """
-    return max((_block_radius(d, p, tol) for d, p in _blocks(a)), default=0.0)
+    return max((_block_radius(d, p, tol) for d, p in a._blocks), default=0.0)
 
 
-def _block_radius(d: int, p: list[list[Fraction]], tol: float) -> float:
+def _block_radius(d: int, p: Sequence[Sequence[Fraction]], tol: float) -> float:
     if len(p) == 1:
         return cycle_radius(p[0][0], d)
     # P / 2^k, k its largest binary exponent, keeps a long class product in float range
@@ -159,7 +166,10 @@ def _block_radius(d: int, p: list[list[Fraction]], tol: float) -> float:
         lam = sum(pv)
         nxt = [x / lam for x in pv]
         if max(abs(x - y) for x, y in zip(nxt, v)) <= tol:
-            return lam ** (1 / d) * 2.0 ** (k / d)
+            try:  # ldexp scales by 2^(k // d) exactly: only a rho beyond float range overflows
+                return math.ldexp(lam ** (1 / d) * 2.0 ** (k % d / d), k // d)
+            except OverflowError:
+                return math.inf
         v = nxt
     raise ArithmeticError(f"power iteration did not converge within {MAX_POWER_ITERATIONS} iterations")
 
@@ -253,8 +263,8 @@ def parse_matrix(text: str) -> RationalMatrix:
         parts = line.split()
         if len(parts) != n:
             raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
-        rows.append([_parse_entry(p, i, j) for j, p in enumerate(parts, start=1)])
-    return RationalMatrix.from_rows(rows)
+        rows.append(tuple(_parse_entry(p, i, j) for j, p in enumerate(parts, start=1)))
+    return RationalMatrix(tuple(rows))
 
 
 # The default limit on int(str) since Python 3.11; checking it here gives

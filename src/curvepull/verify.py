@@ -3,9 +3,9 @@
 Each suite replays frozen reference identities of the two built-in maps
 against the transducer, item by item.  The expected values here are data, not
 derived from the code under test, so a corrupted transducer or map file
-cannot silently pass.  The paper's facts about every curve's orbit, which
-``sweep`` checks, are kept here too, under the same rule for which map
-gets which checks.
+cannot silently pass.  Every rule that fails a ``sweep`` is kept here too:
+the paper's facts about every curve's orbit, under the same rule for which
+map gets which checks, and the checks that apply to every map.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import endo
-from .curves import Classification, Curve, EntersCycle, EventuallyTrivial, PullbackSystem
+from .curves import Classification, Curve, EntersCycle, EventuallyTrivial, PullbackSystem, Unresolved
 from .mapdef import MapDefinition
 from .words import Word, geodesic_length
 
@@ -278,6 +278,14 @@ SUITES: dict[str, tuple[tuple[str, ...], Callable[[MapDefinition, endo.VirtualEn
 }
 
 
+def _resolved_unobstructed(system: PullbackSystem, curve: Curve, cls: Classification) -> str | None:
+    if isinstance(cls, Unresolved):
+        return "unresolved"
+    if isinstance(cls, EntersCycle) and cls.weight_product >= 1:
+        return f"obstruction, cycle weight product {cls.weight_product} >= 1"
+    return None
+
+
 def _trivial_within_bound(system: PullbackSystem, curve: Curve, cls: Classification) -> str | None:
     if isinstance(cls, EventuallyTrivial):
         # A block has at most two letters, so the geodesic length is at
@@ -303,11 +311,13 @@ def _cycle_is_axes(system: PullbackSystem, curve: Curve, cls: Classification) ->
     return None
 
 
-# What the paper proves about every curve's orbit, checked by ``sweep``:
-# name -> (maps it applies to, check).  A check returns what is wrong
-# with one curve's classification, or None.
+# What fails a ``sweep``: name -> (maps it applies to, None for every map;
+# check).  A check returns what is wrong with one curve's classification,
+# or None.  The first row is for any map: an unresolved orbit decides nothing,
+# and a cycle of weight product >= 1 is an obstruction.  The paper proves the rest.
 SweepCheck = Callable[[PullbackSystem, Curve, Classification], str | None]
-SWEEP_FACTS: dict[str, tuple[tuple[str, ...], SweepCheck]] = {
+SWEEP_FACTS: dict[str, tuple[tuple[str, ...] | None, SweepCheck]] = {
+    "resolved, no cycle of weight product >= 1": (None, _resolved_unobstructed),
     "trivial within 4|w|+3 steps": (("dendrite",), _trivial_within_bound),
     "never enters a cycle": (("dendrite",), _never_cycles),
     "the only cycle is the axis 3-cycle": (("rabbit",), _cycle_is_axes),
@@ -316,7 +326,7 @@ SWEEP_FACTS: dict[str, tuple[tuple[str, ...], SweepCheck]] = {
 
 def sweep_facts(mapdef: MapDefinition) -> list[SweepCheck]:
     """The sweep checks that apply to the map, in table order."""
-    return [check for maps, check in SWEEP_FACTS.values() if applies(maps, mapdef)]
+    return [check for maps, check in SWEEP_FACTS.values() if maps is None or applies(maps, mapdef)]
 
 
 def run_suite(suite: str, mapdef: MapDefinition, *, n_max: int = 12) -> list[SuiteResult]:

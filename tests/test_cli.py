@@ -122,9 +122,44 @@ schreier y y -> y^-1 x^-1
 }
 
 
-@pytest.mark.parametrize("argv", GOLDEN, ids=lambda argv: argv[0])
-def test_text_output_golden(capsys, argv):
-    assert run(capsys, *argv) == (0, GOLDEN[argv], "")
+# A step cut that leaves orbits unresolved fails the sweep, one line per curve.
+UNRESOLVED_SWEEP = ("sweep", "--map", "rabbit", "--max-len", "2", "--max-steps", "2")
+UNRESOLVED_SWEEP_TEXT = """\
+map: rabbit
+curves with conjugator length <= 2: 30
+  trivial in 1: 6
+  trivial in 2: 7
+  unresolved after 2: 17
+COUNTEREXAMPLE x: unresolved
+COUNTEREXAMPLE x^(y y): unresolved
+COUNTEREXAMPLE x^(y^-1 y^-1): unresolved
+COUNTEREXAMPLE y: unresolved
+COUNTEREXAMPLE y^(x): unresolved
+COUNTEREXAMPLE y^(x^-1): unresolved
+COUNTEREXAMPLE y^(x x): unresolved
+COUNTEREXAMPLE y^(x y): unresolved
+COUNTEREXAMPLE y^(x y^-1): unresolved
+COUNTEREXAMPLE y^(x^-1 x^-1): unresolved
+COUNTEREXAMPLE y^(x^-1 y): unresolved
+COUNTEREXAMPLE y^(x^-1 y^-1): unresolved
+COUNTEREXAMPLE z: unresolved
+COUNTEREXAMPLE z^(y): unresolved
+COUNTEREXAMPLE z^(x x): unresolved
+COUNTEREXAMPLE z^(x^-1 x^-1): unresolved
+COUNTEREXAMPLE z^(x^-1 y): unresolved
+sweep: 17 counterexamples
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        *(pytest.param(argv, 0, text, id=argv[0]) for argv, text in GOLDEN.items()),
+        pytest.param(UNRESOLVED_SWEEP, 1, UNRESOLVED_SWEEP_TEXT, id="sweep-unresolved"),
+    ],
+)
+def test_text_output_golden(capsys, argv, code, text):
+    assert run(capsys, *argv) == (code, text, "")
 
 
 @pytest.mark.parametrize("argv", GOLDEN, ids=lambda argv: argv[0])
@@ -295,12 +330,17 @@ def test_spectra_matrix_file(capsys, tmp_path):
         pytest.param("2\n0.9999999 0.0000002\n0.0000001 0.9999998\n", "not converged", False, id="near-1"),
         # an 11-cycle whose weights multiply to 1: rho is 1 to the last digit
         pytest.param(_cycle_text("2 1/2 3 1/3 5 1/5 7 1/7 3/2 2/3 1".split()), "1", False, id="11-cycle-product-1"),
+        # rho beyond float range reads inf, below it 0
+        pytest.param(f"1\n{10**400}\n", "inf", False, id="1x1-10^400"),
+        pytest.param(f"2\n{10**400} {10**400}\n{10**400} {10**400}\n", "inf", False, id="2x2-all-10^400"),
+        pytest.param(f"2\n1/{10**400} 0\n0 1/{10**400}\n", "0", True, id="diag-10^-400"),
     ],
 )
 def test_spectra_keeps_the_exact_verdict_on_jordan_blocks(capsys, tmp_path, text, eigen, contracting):
     # each diagonal entry of a Jordan block is a block of its own, and a
     # cycle's class product is 1x1, so rho is exact; where the iteration
-    # does hit its cap, the exact verdict is reported anyway
+    # does hit its cap, the exact verdict is reported anyway; JSON has no
+    # infinity, so a rho beyond float range is null there
     f = tmp_path / "m.mat"
     f.write_text(text)
     code, out, _ = run(capsys, "spectra", "--matrix", str(f))
@@ -309,7 +349,7 @@ def test_spectra_keeps_the_exact_verdict_on_jordan_blocks(capsys, tmp_path, text
     code, doc = run_json(capsys, "spectra", "--matrix", str(f))
     assert code == 0 and doc["results"]["contracting"] is contracting
     lam = doc["results"]["leading_eigenvalue"]
-    if eigen == "not converged":
+    if eigen in ("not converged", "inf"):
         assert lam is None
     else:
         assert lam == pytest.approx(float(eigen), rel=1e-12)
@@ -363,6 +403,22 @@ def test_spectra_needs_exactly_one_source(capsys):
         main(["spectra", "--map", "rabbit"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--cycle-of", "x"], "--cycle-of requires --map"),
+        *((["--matrix", "m.mat", "--tol", tol], "--tol must be a positive finite number") for tol in ("0", "-1", "nan", "inf")),
+    ],
+    ids=["cycle-of-without-map", "tol-0", "tol-minus-1", "tol-nan", "tol-inf"],
+)
+def test_spectra_usage_errors(capsys, argv, message):
+    # rejected before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(["spectra", *argv])
+    assert exc.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--map", "rabbit"], ["--max-steps", "5"]])

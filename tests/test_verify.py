@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvepull.curves import Curve, EntersCycle, EventuallyTrivial
+from curvepull.curves import Curve, EntersCycle, EventuallyTrivial, Unresolved
 from curvepull.endo import VirtualEndo
 from curvepull.mapdef import BUILTIN_TEXTS, builtin, parse_mapdef
 from curvepull.verify import (
@@ -95,18 +95,20 @@ def test_run_all(rabbit, dendrite):
 
 
 def test_sweep_facts_follow_the_map_name():
-    rabbit_facts = [SWEEP_FACTS["the only cycle is the axis 3-cycle"][1]]
-    dendrite_facts = [SWEEP_FACTS[name][1] for name in ("trivial within 4|w|+3 steps", "never enters a cycle")]
+    # the every-map row comes first, then the rows listed under the map name
+    every_map = [SWEEP_FACTS["resolved, no cycle of weight product >= 1"][1]]
+    rabbit_facts = every_map + [SWEEP_FACTS["the only cycle is the axis 3-cycle"][1]]
+    dendrite_facts = every_map + [SWEEP_FACTS[name][1] for name in ("trivial within 4|w|+3 steps", "never enters a cycle")]
     assert sweep_facts(builtin("rabbit")) == rabbit_facts
     assert sweep_facts(builtin("dendrite")) == dendrite_facts
     # the rule is the `map` name, as for the verify suites
     assert sweep_facts(parse_mapdef(BUILTIN_TEXTS["rabbit"])) == rabbit_facts
     bunny = parse_mapdef(BUILTIN_TEXTS["rabbit"].replace("map rabbit", "map bunny"))
-    assert sweep_facts(bunny) == []
+    assert sweep_facts(bunny) == every_map
 
 
 def test_sweep_facts_flag_what_the_paper_excludes(rabbit_system, dendrite_system):
-    bound, never_cycles = sweep_facts(dendrite_system.mapdef)
+    resolved, bound, never_cycles = sweep_facts(dendrite_system.mapdef)
     b = Curve(1, Word.identity())
     assert bound(dendrite_system, b, EventuallyTrivial(3)) is None
     assert bound(dendrite_system, b, EventuallyTrivial(4)) == "trivial after 4 steps, bound 3"
@@ -114,7 +116,15 @@ def test_sweep_facts_flag_what_the_paper_excludes(rabbit_system, dendrite_system
     loop = EntersCycle(0, (b,), (Fraction(1),))
     assert never_cycles(dendrite_system, b, loop) == "enters a cycle, expected trivial"
 
-    (axis_cycle,) = sweep_facts(rabbit_system.mapdef)
+    # the every-map row: an unresolved orbit, or a cycle of weight product >= 1
+    assert resolved(dendrite_system, b, Unresolved(4)) == "unresolved"
+    assert resolved(dendrite_system, b, EventuallyTrivial(4)) is None
+    assert resolved(dendrite_system, b, EntersCycle(0, (b,), (Fraction(1, 2),))) is None
+    assert resolved(dendrite_system, b, loop) == "obstruction, cycle weight product 1 >= 1"
+    heavy = EntersCycle(0, (b, b), (Fraction(3), Fraction(1, 2)))
+    assert resolved(dendrite_system, b, heavy) == "obstruction, cycle weight product 3/2 >= 1"
+
+    _, axis_cycle = sweep_facts(rabbit_system.mapdef)
     x, y, z = (Curve(i, Word.identity()) for i in range(3))
     half = Fraction(1, 2)
     assert axis_cycle(rabbit_system, x, EntersCycle(0, (y, z, x), (half, half, Fraction(1)))) is None
@@ -125,7 +135,7 @@ def test_trivial_bound_past_the_shortcut_uses_the_geodesic_length(dendrite, dend
     # For these 3- and 4-letter conjugators the shortcut 4 ceil(|w|/2) + 3
     # admits 11 steps; past it, the geodesic length 3 gives the bound 15.
     # "b a a" has no c block, and "a^-1 b^-1 a^-1 b" spells a^-1 c b.
-    bound, _ = sweep_facts(dendrite)
+    _, bound, _ = sweep_facts(dendrite)
     for text in ("b a a", "a^-1 b^-1 a^-1 b"):
         curve = Curve(0, dendrite.word(text))
         for steps in (11, 12, 15):
