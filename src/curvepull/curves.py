@@ -222,16 +222,14 @@ class PullbackSystem:
         """One pullback step, read from the twist table.
 
         For the curve (u, w) the liftable power is s, and the twist word
-        w^-1 u^s w lies in H.  The Schreier factor of an inverse letter is
-        the inverse of the letter's own factor, read from the state after
-        it, so the transducer's output on w^-1 from state 0 is the inverse
-        of its output X = apply_hat(w) on w from state theta(w), and
+        w^-1 u^s w lies in H.  By ``VirtualEndo.apply_conj``,
 
-            psi(w^-1 u^s w) = X^-1 c X,  c = psi-scan of u^s from theta(w).
+            psi(w^-1 u^s w) = X^-1 c X,  X = apply_hat(w),
 
-        c depends only on the axis and the parity theta(w): six values,
-        whose cyclic core, primitive root a^t, matched axis and
-        conjugator v are precomputed.  The image is then the t-th power
+        with c the scan of u^s from state theta(w).  c depends only on
+        the axis and the parity theta(w): six values, whose cyclic core,
+        primitive root a^t, matched axis and conjugator v are
+        precomputed.  The image is then the t-th power
         of the twist about (a, v X), and a step is one scan of w, one
         product and one canonical form.
         """

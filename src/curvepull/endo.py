@@ -137,6 +137,26 @@ class VirtualEndo:
             raise DomainError("word is not in the domain of the endomorphism")
         return self._scan(w, 0)
 
+    def apply_conj(self, u: Word, w: Word) -> tuple[Word, Word]:
+        """psi(w^-1 u w) for u in H, as the pair (c, X) with
+        ``c.conj(X) == psi(u.conj(w))``; raises DomainError otherwise.
+
+        ``from_images`` reads an inverse letter's Schreier factor as the
+        inverse of the letter's own factor, taken from the state after
+        it.  So the scan of w^-1 from state 0 ends in state theta(w) and
+        emits the inverse of X = apply_hat(w), the scan of w from
+        theta(w); u, in H, leaves that state unchanged; and
+
+            psi(w^-1 u w) = X^-1 c X,  c = scan of u from theta(w).
+
+        This reads |u| + |w| letters and never builds u^w.  theta(u^w) =
+        theta(u), so it raises exactly when ``apply(u.conj(w))`` does.
+        """
+        if self.parity.theta(u):
+            raise DomainError("word is not in the domain of the endomorphism")
+        state = self.parity.theta(w)
+        return self._scan(u, state), self._scan(w, state)
+
     def apply_hat(self, w: Word) -> Word:
         """The coset-corrected extension: psi(w) on H, psi(t^-1 w) off it.
 

@@ -169,7 +169,7 @@ def verify_recursions(mapdef: MapDefinition, psi: endo.VirtualEndo) -> SuiteResu
 
 
 # Deepest prop84 check the CLI accepts: w_n has 2^(n+1) - 3 letters, and
-# n = 20 already takes about 8-10 s and 120 MB (2-CPU host, Python 3.11).
+# n = 20 already takes about 2.2-2.4 s and 85 MB (2-CPU host, Python 3.11).
 MAX_SECTION_DEPTH = 20
 
 
@@ -194,14 +194,25 @@ def verify_section(mapdef: MapDefinition, psi: endo.VirtualEndo, n_max: int = 12
         )
     )
 
+    # Item n follows psi^k(b^(w_n)) as a pair (u, x) with u^x equal to
+    # it, one apply_conj per step, so b^(w_n) is never built.  A pair
+    # that is literally (b, w_m) after k steps has item m's chain ahead
+    # (m = n - k), and takes item m's verdict.
     b = mapdef.word("b")
+    conjugators: list[Word] = []  # w_m at index m - 1
+    verdicts: list[bool] = []
     for n, wn in enumerate(endo.section_conjugators(n_max), start=1):
-        g = b.conj(wn)
-        for _ in range(n):
-            g = psi.apply(g)
-        result.items.append(
-            CheckItem(label=f"psi^{n}(b^(w_{n})) = b", ok=g == b)
-        )
+        u, x = b, wn
+        for m in range(n, 0, -1):  # m steps left
+            if m < n and u == b and x == conjugators[m - 1]:
+                ok = verdicts[m - 1]
+                break
+            u, x = psi.apply_conj(u, x)
+        else:
+            ok = u.conj(x) == b
+        conjugators.append(wn)
+        verdicts.append(ok)
+        result.items.append(CheckItem(label=f"psi^{n}(b^(w_{n})) = b", ok=ok))
     return result
 
 

@@ -9,6 +9,7 @@ literal equality of tuples.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 
@@ -154,15 +155,27 @@ def primitive_root(c: CyclicWord) -> tuple[CyclicWord, int]:
 
 
 def substitute(u: Word, images: Mapping[int, Word]) -> Word:
-    """Apply the endomorphism sending generator index g to images[g]."""
+    """Apply the endomorphism sending generator index g to images[g].
+
+    The images are Words, so their letters need no check: the result is
+    freely reduced on a stack in the same pass that reads them.
+    """
     table: dict[int, tuple[int, ...]] = {}
     for g, img in images.items():
         table[g + 1] = img.codes
         table[-g - 1] = (~img).codes
-    out: list[int] = []
+    stack: list[int] = []
+    pop, push = stack.pop, stack.append
+    top = 0  # last letter of the stack, 0 when it is empty
     for c in u.codes:
-        out.extend(table[c])
-    return Word(out)
+        for o in table[c]:
+            if top == -o:
+                pop()
+                top = stack[-1] if stack else 0
+            else:
+                push(o)
+                top = o
+    return Word(stack, _reduced=True)
 
 
 def geodesic_length(u: Word, extra_blocks: Iterable[Word] = ()) -> int:
@@ -216,39 +229,46 @@ def parse_word(text: str, names: Mapping[str, Word]) -> Word:
     ``1`` denotes the identity.  ``names`` maps each accepted token name
     to its expansion, so derived names parse transparently.  A literal
     that spells more than ``MAX_LITERAL_LETTERS`` letters is rejected,
-    naming the token that crosses the cap.
+    naming the token that crosses the cap.  Each distinct token is
+    checked and expanded once, but its letters count at every
+    occurrence, so the cap error names the occurrence that crosses it.
     """
-    codes: list[int] = []
+    spelled: dict[str, tuple[tuple[int, ...], int]] = {}  # token -> (expansion, letters)
+    parts: list[tuple[int, ...]] = []
     letters = 0
     for token in text.split():
         if token == "1":
             continue
-        name, caret, exp_text = token.partition("^")
-        if name not in names:
-            raise WordSyntaxError(f"unknown generator name {name!r}", token=token)
-        exp = 1
-        if caret:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise WordSyntaxError(
-                    f"bad exponent {exp_text!r} in token {token!r}", token=token
-                ) from None
-            if exp == 0:
-                raise WordSyntaxError(f"zero exponent in token {token!r}", token=token)
-        base = names[name].codes
-        letters += len(base) * abs(exp)
+        known = spelled.get(token)
+        if known is None:
+            name, caret, exp_text = token.partition("^")
+            if name not in names:
+                raise WordSyntaxError(f"unknown generator name {name!r}", token=token)
+            exp = 1
+            if caret:
+                try:
+                    exp = int(exp_text)
+                except ValueError:
+                    raise WordSyntaxError(
+                        f"bad exponent {exp_text!r} in token {token!r}", token=token
+                    ) from None
+                if exp == 0:
+                    raise WordSyntaxError(f"zero exponent in token {token!r}", token=token)
+            base = names[name]
+            count = len(base.codes) * abs(exp)
+        else:
+            expansion, count = known
+        letters += count
         if letters > MAX_LITERAL_LETTERS:
             raise WordSyntaxError(
                 f"token {token!r} takes the literal past {MAX_LITERAL_LETTERS} letters", token=token
             )
-        if exp == 1:
-            codes.extend(base)
-        elif exp == -1:
-            codes.extend(-c for c in reversed(base))
-        else:
-            codes.extend((names[name] ** exp).codes)
-    return Word(codes)
+        if known is None:
+            expansion = base.codes if exp == 1 else (~base).codes if exp == -1 else (base ** exp).codes
+            spelled[token] = (expansion, count)
+        parts.append(expansion)
+    # The expansions come from Words, so their letters need no check.
+    return Word(_reduce_codes(chain.from_iterable(parts)), _reduced=True)
 
 
 def format_word(u: Word, gen_names: tuple[str, str]) -> str:

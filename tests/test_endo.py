@@ -238,6 +238,29 @@ def test_apply_hat_examples(rabbit, dendrite):
                 assert psi.apply_hat(w) == psi.apply(~t * w)
 
 
+def test_apply_conj_matches_apply_on_the_conjugate(rabbit, dendrite):
+    # c.conj(X) is psi(u^w) when u is in H, for w of either parity, and
+    # u off H raises as apply(u^w) does
+    rng = random.Random(9)
+    for mapdef in (rabbit, dendrite):
+        psi = mapdef.endomorphism()
+        theta = psi.parity.theta
+        seen = set()
+        for _ in range(1_000):
+            u, w = random_reduced(rng, 16), random_reduced(rng, 16)
+            seen.add((theta(u), theta(w)))
+            if theta(u):
+                with pytest.raises(DomainError):
+                    psi.apply_conj(u, w)
+                with pytest.raises(DomainError):
+                    psi.apply(u.conj(w))
+            else:
+                c, x = psi.apply_conj(u, w)
+                assert x == psi.apply_hat(w)
+                assert c.conj(x) == psi.apply(u.conj(w))
+        assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
 def test_apply_hat_dendrite_prefix_insensitive(dendrite):
     # prefixing by the coset-flipping generator leaves the value alone
     psi = dendrite.endomorphism()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from curvepull.curves import Curve, EntersCycle, EventuallyTrivial, Unresolved
-from curvepull.endo import VirtualEndo
+from curvepull.endo import DomainError, VirtualEndo, section_conjugators
 from curvepull.mapdef import BUILTIN_TEXTS, builtin, parse_mapdef
 from curvepull.verify import (
     NUCLEUS_ORDER,
@@ -71,6 +71,66 @@ def test_section_suite(dendrite, dendrite_system):
     res = verify_section(dendrite, dendrite_system.psi, n_max=6)
     assert res.ok
     assert res.total == 7  # right-inverse check plus n = 1..6
+
+
+def direct_prop84(mapdef, psi, n_max):
+    """prop84's verdicts the direct way: psi applied n times to the whole
+    word b^(w_n); "raises" for an item whose chain leaves H."""
+    b = mapdef.word("b")
+    out = []
+    for n, wn in enumerate(section_conjugators(n_max), start=1):
+        g = b.conj(wn)
+        try:
+            for _ in range(n):
+                g = psi.apply(g)
+        except DomainError:
+            out.append("raises")
+        else:
+            out.append(g == b)
+    return out
+
+
+@pytest.mark.parametrize(
+    "corrupt, direct",
+    [
+        ({}, [True] * 10),
+        # the corruption of test_recursions_catch_corruption: hat(w_n) is
+        # never w_(n-1), so no item can take an earlier item's verdict
+        ({"b": "a^-1 b^-1"}, [True, False, False] + ["raises"] * 7),
+        # one step takes (b, w_2) to (b^-1, w_1): the conjugator
+        # is item 1's, but the chain ahead is not
+        ({"b": "b a^-1", "a^-1 b a": "b^-1"}, [False, True, False, False] + ["raises"] * 6),
+        # the chain leaves H only at the eighth step
+        ({"a^-1 b a": "b b"}, [False] * 7 + ["raises"] * 3),
+    ],
+    ids=["built-in", "corrupted-b", "same-conjugator-other-word", "leaves-H-late"],
+)
+def test_section_verdicts_match_the_direct_iteration(dendrite, corrupt, direct):
+    images = dict(dendrite.schreier_images)
+    images.update((dendrite.word(lhs), dendrite.word(rhs)) for lhs, rhs in corrupt.items())
+    psi = VirtualEndo.from_images(dendrite.parity, images)
+    assert direct_prop84(dendrite, psi, 10) == direct
+    for n_max in range(1, 11):
+        if "raises" in direct[:n_max]:
+            with pytest.raises(DomainError):
+                verify_section(dendrite, psi, n_max=n_max)
+        else:
+            assert [it.ok for it in verify_section(dendrite, psi, n_max=n_max).items[1:]] == direct[:n_max]
+
+
+def test_section_takes_earlier_verdicts(dendrite, monkeypatch):
+    # on the built-in map, one step takes (b, w_n) to (b, w_(n-1)), so
+    # each item scans its conjugator once
+    calls = []
+    apply_conj = VirtualEndo.apply_conj
+
+    def counted(psi, u, w):
+        calls.append(len(w))
+        return apply_conj(psi, u, w)
+
+    monkeypatch.setattr(VirtualEndo, "apply_conj", counted)
+    assert verify_section(dendrite, dendrite.endomorphism(), n_max=12).ok
+    assert calls == [2 ** (n + 1) - 3 for n in range(1, 13)]
 
 
 def test_length_decrease_suite(dendrite, dendrite_system):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -277,6 +278,12 @@ def test_parse_word_letter_cap():
     assert W("y^1000000") == Word((2,) * 1_000_000)
     for text, token in (("y^1000001", "y^1000001"), ("x^999999 y x", "x"), ("x^-600000 y^-400001", "y^-400001")):
         with pytest.raises(WordSyntaxError, match="past 1000000 letters") as exc:
+            W(text)
+        assert exc.value.token == token
+    # a repeated token counts at each occurrence, and the one that
+    # crosses the cap is named
+    for text, token in (("x^999999 y y", "y"), ("y^600000 x y^600000", "y^600000")):
+        with pytest.raises(WordSyntaxError, match=re.escape(f"token '{token}' takes the literal past")) as exc:
             W(text)
         assert exc.value.token == token
     # a derived name counts its own letters
