@@ -82,12 +82,6 @@ class OrbitResult:
     steps: tuple[PullbackStep, ...]
     classification: Classification
 
-    @property
-    def cycle_weight_product(self) -> Fraction | None:
-        if isinstance(self.classification, EntersCycle):
-            return self.classification.weight_product
-        return None
-
 
 def _lex_key(codes: tuple[int, ...]) -> tuple:
     # Letter order x < x^-1 < y < y^-1; shorter words first.
@@ -271,6 +265,8 @@ class PullbackSystem:
         walked_by: list[int] = []  # the last walk that had the id on its path
 
         def curve_id(curve: Curve) -> int:
+            # hash(-1) == hash(-2), so keys that differ in x^-1 / y^-1 share
+            # a hash; probing past them costs less than building a shifted key
             key = (curve.axis, curve.conjugator.codes)
             i = ids.get(key)
             if i is None:

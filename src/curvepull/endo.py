@@ -200,12 +200,3 @@ def section_conjugators(n: int) -> Iterator[Word]:
             out = out * term
         yield out
 
-
-def section_conjugator(n: int) -> Word:
-    """Conjugator w_n whose b-twist survives n pullbacks:
-    w_n = a * section(a) * ... * section^(n-1)(a)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    for out in section_conjugators(n):
-        pass
-    return out

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from curvepull.cli import run_sweep
 from curvepull.curves import Curve, EntersCycle, EventuallyTrivial, PullbackSystem
-from curvepull.endo import schreier_basis, section, section_conjugator
+from curvepull.endo import schreier_basis, section, section_conjugators
 from curvepull.mapdef import builtin
 from curvepull.spectra import (
     AbelianVirtualEndo,
@@ -182,8 +182,7 @@ def test_criterion_06_section_identities():
     b = dendrite.word("b")
     exact_bad = 0
     orbit_bad = 0
-    for n in range(1, 13):
-        wn = section_conjugator(n)
+    for n, wn in enumerate(section_conjugators(12), start=1):
         g = b.conj(wn)
         for _ in range(n):
             g = psi.apply(g)

@@ -334,6 +334,9 @@ def test_spectra_matrix_file(capsys, tmp_path):
         pytest.param(f"1\n{10**400}\n", "inf", False, id="1x1-10^400"),
         pytest.param(f"2\n{10**400} {10**400}\n{10**400} {10**400}\n", "inf", False, id="2x2-all-10^400"),
         pytest.param(f"2\n1/{10**400} 0\n0 1/{10**400}\n", "0", True, id="diag-10^-400"),
+        # badly balanced: an unscaled iteration loses 2^-870 next to 2^900;
+        # D = diag(2^885, 1) balances it, and D 1 is its eigenvector
+        pytest.param(f"2\n1 {2**900}\n1/{2**870} 1\n", "32769", False, id="2x2-2^900-2^-870"),
     ],
 )
 def test_spectra_keeps_the_exact_verdict_on_jordan_blocks(capsys, tmp_path, text, eigen, contracting):

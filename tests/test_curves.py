@@ -15,9 +15,13 @@ from curvepull.curves import (
     Unresolved,
     _lex_key,
 )
-from curvepull.endo import section_conjugator
+from curvepull.endo import section_conjugators
 from curvepull.mapdef import builtin, parse_mapdef
 from curvepull.words import Word, cyclic_reduce, primitive_root
+
+
+# w_n, whose b-twist on the dendrite survives n pullbacks, at index n
+SECTION_CONJUGATORS = [None, *section_conjugators(10)]
 
 
 def random_word(rng, length):
@@ -131,7 +135,7 @@ def test_twist_word(rabbit_system, rabbit, dendrite_system, dendrite):
     assert rabbit_system.twist_word(Curve(2, Word.identity()), 2) == w("y^-1 x^-1 y^-1 x^-1")
     with pytest.raises(ValueError):
         rabbit_system.twist_word(Curve(0, Word.identity()), 0)
-    w2 = section_conjugator(2)
+    w2 = SECTION_CONJUGATORS[2]
     b_curve = Curve(1, w2)
     assert dendrite_system.twist_word(b_curve, 1) == ~w2 * dendrite.word("b") * w2
 
@@ -212,7 +216,7 @@ def test_pullback_matches_scan_reference(name, pullback_systems):
         for c in rng.sample(curves, 30)
     ]
     long_words = [random_word(rng, 2_000) for _ in range(3)]
-    long_words += [section_conjugator(n) for n in (8, 9, 10)]
+    long_words += [SECTION_CONJUGATORS[n] for n in (8, 9, 10)]
     curves += [Curve(axis, w) for w in long_words for axis in range(3)]
     for curve in curves:
         want = pullback_outcome(scan_pullback, system, curve)
@@ -276,7 +280,7 @@ def test_orbit_rabbit_three_cycle(rabbit_system):
     assert cls.preperiod == 0
     assert [c.axis for c in cls.cycle] == [0, 1, 2]
     assert cls.cycle_weights == (Fraction(1), Fraction(1, 2), Fraction(1, 2))
-    assert result.cycle_weight_product == Fraction(1, 4)
+    assert cls.weight_product == Fraction(1, 4)
 
 
 def test_orbit_dendrite_chain(dendrite_system):
@@ -289,7 +293,7 @@ def test_orbit_dendrite_chain(dendrite_system):
 
 def test_orbit_of_section_conjugates(dendrite_system):
     for n in (1, 2, 5):
-        start = Curve(1, section_conjugator(n))
+        start = Curve(1, SECTION_CONJUGATORS[n])
         result = dendrite_system.orbit(start, 100)
         assert isinstance(result.classification, EventuallyTrivial)
         head = result.steps[:n]
@@ -338,7 +342,7 @@ def test_classify_matches_orbit(map_name, fixed_map_text, monkeypatch):
     canonical = system.enumerate_curves(4)
     # non-canonical spellings, which only orbit accepts
     spellings = [Curve(c.axis, system.axis_words[c.axis] * c.conjugator) for c in canonical[:30]]
-    sections = [Curve(axis, section_conjugator(n)) for n in (5, 6, 7, 8) for axis in range(3)]
+    sections = [Curve(axis, SECTION_CONJUGATORS[n]) for n in (5, 6, 7, 8) for axis in range(3)]
     canonical += [system.canonicalize(c.axis, c.conjugator) for c in sections]
     pulled = []
     pullback = PullbackSystem.pullback
@@ -459,4 +463,4 @@ def test_parse_and_format_curve(rabbit_system):
 
 def test_curve_grammar_spec_example(dendrite_system):
     c = dendrite_system.parse_curve("b^(a b^-1 a^-1 b^-1 a)")
-    assert c == dendrite_system.canonicalize(1, section_conjugator(2))
+    assert c == dendrite_system.canonicalize(1, SECTION_CONJUGATORS[2])

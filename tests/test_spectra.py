@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from curvepull import spectra
 from curvepull.spectra import (
     AbelianVirtualEndo,
     RationalMatrix,
@@ -314,6 +315,80 @@ def test_is_contracting_is_fast_on_dense_matrices(row_sum):
     verdict = is_contracting(a)
     elapsed = time.perf_counter() - t0
     assert verdict is (row_sum < 1)
+    assert elapsed < 2.0, f"{elapsed:.2f} s for a dense {n}x{n} matrix"
+
+
+def _straddling_rows(rng, n):
+    """A positive matrix whose even rows sum to 1/2 and odd rows to 3/2."""
+    return [[Fraction(3 if i % 2 else 1, 2) * e for e in row] for i, row in enumerate(_stochastic_rows(rng, n, 0))]
+
+
+def _count_elimination(monkeypatch) -> list:
+    """Record each P that is_contracting hands to the exact oracle."""
+    calls = []
+    oracle = spectra._minors_positive
+
+    def counted(p):
+        calls.append(p)
+        return oracle(p)
+
+    monkeypatch.setattr(spectra, "_minors_positive", counted)
+    return calls
+
+
+def test_brackets_decide_and_elimination_runs_only_on_straddling_blocks(monkeypatch):
+    # rho(P) lies in the row-sum bracket [lo, hi] of each block; the verdict
+    # is the oracle's, and the oracle sees only blocks whose bracket holds 1
+    rng = random.Random(37)
+    oracle = spectra._minors_positive
+    families = {
+        "random": lambda n: _random_rows(rng, n),
+        "reducible": lambda n: _block_triangular_rows(rng, n),
+        "d-cyclic": lambda n: _cyclic_rows(rng, n // 3),
+        "row sums 1/2": lambda n: _scaled(_stochastic_rows(rng, n, 0.3), Fraction(1, 2)),
+        "row sums 1": lambda n: _stochastic_rows(rng, n, 0.3),
+        "row sums 3/2": lambda n: _scaled(_stochastic_rows(rng, n, 0.3), Fraction(3, 2)),
+        # from n = 5 up, the iterate after n steps decides these
+        "row sums 1/2 and 3/2": lambda n: _permuted(rng, _straddling_rows(rng, n + 3)),
+        # rho exactly 1 with unequal row sums: no bracket can decide it
+        "column sums 1": lambda n: [list(col) for col in zip(*_stochastic_rows(rng, n, 0.3))],
+    }
+    eliminated = {}
+    calls = _count_elimination(monkeypatch)
+    for name, make in families.items():
+        eliminated[name] = 0
+        for _ in range(100):
+            a = RationalMatrix.from_rows(make(rng.randint(2, 10)))
+            calls.clear()
+            brackets = [(d, p, *spectra._bracket(p, [1] * len(p))) for d, p in a._blocks]
+            assert is_contracting(a) is all(oracle(p) for _, p in a._blocks), (name, a)
+            straddling = [p for _, p, lo, hi in brackets if lo < 1 <= hi]
+            assert all(any(c is p for p in straddling) for c in calls), (name, a)
+            eliminated[name] += len(calls)
+            lam = leading_eigenvalue(a)
+            low = max((spectra.cycle_radius(lo, d) for d, _, lo, _ in brackets), default=0.0)
+            high = max((spectra.cycle_radius(hi, d) for d, _, _, hi in brackets), default=0.0)
+            assert low * (1 - 1e-9) <= lam <= high * (1 + 1e-9), (name, a)
+            if all(lo == hi for *_, lo, hi in brackets):
+                assert lam == high, (name, a)
+    assert eliminated["row sums 1/2"] == eliminated["row sums 1"] == eliminated["row sums 3/2"] == 0
+    assert eliminated["row sums 1/2 and 3/2"] == 0
+    assert eliminated["column sums 1"] > 0
+
+
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2)], ids=["rho-1.2", "rho-0.6"])
+def test_is_contracting_decides_a_dense_200x200_block_without_elimination(monkeypatch, scale):
+    # rows of entries k/450, k up to 6 on even rows and up to 3 on odd ones:
+    # the row sums straddle 1, rho does not come near it
+    rng = random.Random(38)
+    n = 200
+    rows = [[Fraction(rng.randint(1, 3 if i % 2 else 6), 450) * scale for _ in range(n)] for i in range(n)]
+    a = RationalMatrix.from_rows(rows)
+    calls = _count_elimination(monkeypatch)
+    t0 = time.perf_counter()
+    verdict = is_contracting(a)
+    elapsed = time.perf_counter() - t0
+    assert verdict is (scale < 1) and calls == []
     assert elapsed < 2.0, f"{elapsed:.2f} s for a dense {n}x{n} matrix"
 
 
