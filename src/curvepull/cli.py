@@ -175,7 +175,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def cmd_spectra(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     lines = []
-    report_inputs: dict = {"tol": args.tol}
+    report_inputs: dict = {"tol": args.tol} if args.matrix else {}
     if args.matrix:
         with open(args.matrix, encoding="utf-8") as fh:
             matrix = spectra.parse_matrix(fh.read())
@@ -278,9 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectra.add_argument("--matrix", help="matrix file: first line n, then n rows of rationals")
     p_spectra.add_argument("--cycle-of", dest="cycle_of", help="curve whose orbit cycle matrix to analyze")
     p_spectra.add_argument("--map", help="map for --cycle-of")
-    # no default, so that main can tell a --max-steps given with --matrix
+    # no defaults, so that main can tell a --max-steps given with --matrix, or a --tol with --cycle-of
     p_spectra.add_argument("--max-steps", type=int, default=argparse.SUPPRESS, help="orbit cut for --cycle-of (default 1000)")
-    p_spectra.add_argument("--tol", type=float, default=1e-10, help="stopping threshold of the --matrix power iteration")
+    p_spectra.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+                           help=f"stopping threshold of the --matrix power iteration (default {spectra.DEFAULT_TOL:g})")
     p_spectra.add_argument("--format", choices=("text", "json"), default="text")
     p_spectra.set_defaults(func=cmd_spectra)
 
@@ -301,7 +302,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--cycle-of requires --map")
         if args.matrix and (args.map is not None or "max_steps" in vars(args)):
             parser.error("--map and --max-steps apply only to --cycle-of")
-        if not (args.tol > 0 and math.isfinite(args.tol)):
+        if args.cycle_of and "tol" in vars(args):
+            parser.error("--tol applies only to --matrix")
+        if not 0 < vars(args).setdefault("tol", spectra.DEFAULT_TOL) < math.inf:  # nan fails too
             parser.error("--tol must be a positive finite number")
     if getattr(args, "max_steps", 1) < 1:
         parser.error("--max-steps must be at least 1")

@@ -1,15 +1,12 @@
 """Spectral radius and exact contraction tests for nonnegative rational matrices.
 
-Both are read off one split of A into irreducible diagonal blocks, each
-with a cyclic index d and a primitive class product P: rho(A) is the
-largest rho(P)^(1/d).  Each P gets exact rational Collatz-Wielandt
-brackets lo <= rho(P) <= hi, from the row sums first.  rho(A) < 1 is
-decided exactly: by a bracket that lies on one side of 1, and only
-otherwise from the signs of the leading minors of I - P, which
-fraction-free integer elimination reads off its pivots.  The leading
-eigenvalue is exact where a bracket closes (lo == hi), as for a cycle, a
-1x1 P or constant row sums, and comes from power iteration on a balanced
-P otherwise; an exact integer growth-rate estimator serves as an
+Both read one certified record per irreducible diagonal block of A: its
+cyclic index d, its primitive class product P in integers, and an exact
+Collatz-Wielandt bracket lo <= rho(P) <= hi; rho(A) is the largest
+rho(P)^(1/d).  rho(A) < 1 is decided exactly, by a bracket on one side of
+1 and otherwise by integer elimination.  The leading eigenvalue is exact
+where the bracket closes (lo == hi) and comes from power iteration on a
+balanced P otherwise; an exact integer growth-rate estimator serves as an
 independent oracle for it.
 """
 
@@ -20,7 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,7 @@ class RationalMatrix:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for j, e in enumerate(row, start=1):
-                if e < 0:
+                if e.numerator < 0:
                     raise ValueError(f"row {i}, column {j}: matrix must be nonnegative, got {e}")
 
     @classmethod
@@ -50,8 +48,8 @@ class RationalMatrix:
         return [sum(row[j] * v[j] for j in range(self.n)) for row in self.entries]
 
     @cached_property
-    def _blocks(self) -> tuple[tuple[int, tuple[tuple[Fraction, ...], ...]], ...]:
-        """(d, P) for each irreducible diagonal block B of A with a cycle.
+    def _blocks(self) -> tuple[_Block, ...]:
+        """The certified ``_Block`` of each irreducible diagonal block B of A with a cycle.
 
         The blocks are the strongly connected components of A's nonzero
         pattern; a vertex on no cycle adds only the eigenvalue 0.  d is B's
@@ -93,65 +91,77 @@ class RationalMatrix:
                         for j, e in inner[k]:
                             y[j] = y.get(j, 0) + c * e
                     x = y
-                p.append(tuple(x.get(w, 0) for w in first))
-            out.append((d, tuple(p)))
+                p.append([x.get(w, 0) for w in first])
+            out.append(_certify(d, p))
         return tuple(out)
+
+
+class _Block(NamedTuple):
+    """A block's cyclic index d; its class product P as integer rows over
+    one denominator per row, P[i][j] = rows[i][j] / dens[i] with dens[i]
+    the lcm of row i's denominators; an exact bracket lo <= rho(P) <= hi;
+    the exponents x of P's balancing D = diag(2^x), 0s if lo == hi."""
+
+    d: int
+    rows: list[list[int]]
+    dens: list[int]
+    lo: Fraction
+    hi: Fraction
+    x: list[int]
+
+
+def _certify(d: int, p: list[list[Fraction]]) -> _Block:
+    """The record of a class product P.  P is irreducible, so for every
+    positive v, rho(P) lies between the least and the greatest (Pv)_i / v_i
+    (Collatz-Wielandt, Berman-Plemmons, ch. 2), and so does rho(P^T).  The
+    bracket intersects those of v all ones on P (the row sums) and on P^T
+    (the column sums), and of v = D 1, tried in that order until lo == hi."""
+    dens = [math.lcm(*(e.denominator for e in row)) for row in p]
+    rows = [[e.numerator * (q // e.denominator) for e in row] for row, q in zip(p, dens)]
+    lo, hi = _bracket(rows, dens, [1] * len(p))
+    if lo < hi:
+        # column j of P sums to sum_i rows[i][j] (l / dens[i]) over l
+        l = math.lcm(*dens)
+        scale = [l // q for q in dens]
+        sums = [sum(map(mul, col, scale)) for col in zip(*rows)]
+        lo, hi = max(lo, Fraction(min(sums), l)), min(hi, Fraction(max(sums), l))
+    x = _balance(rows, dens) if lo < hi else [0] * len(p)
+    if any(x):
+        lo_x, hi_x = _bracket(rows, dens, [1 << e for e in x])
+        lo, hi = max(lo, lo_x), min(hi, hi_x)
+    return _Block(d, rows, dens, lo, hi, x)
 
 
 def is_contracting(a: RationalMatrix) -> bool:
     """Exact decision of rho(A) < 1: rho(P) < 1 for every P of ``a._blocks``.
 
-    A primitive P is irreducible, so for every positive vector v, rho(P)
-    lies between the least and the greatest (Pv)_i / v_i (Collatz-Wielandt,
-    Berman-Plemmons, ch. 2).  Each such bracket [lo, hi] is exact: v is a
-    vector of integers and each row is summed in integers over the lcm of
-    its denominators.  hi < 1 decides True and lo >= 1 decides False.  The
-    brackets are tried cheapest first: v all ones (the row sums, exact for
-    constant row sums), v = D 1 for the power-of-two balancing D of P, and
-    v the float power iterate after at most n steps: n^3 float products,
-    about what elimination makes on growing integers.  Only a block whose
-    every bracket straddles 1 goes to the exact oracle: one whose rho(P)
-    is 1 or within about ``DEFAULT_TOL`` of it, or a small P whose n steps
-    leave the iterate too coarse.  For nonnegative P, rho(P) < 1 iff the
-    Z-matrix I - P is a nonsingular M-matrix, iff every leading principal
-    minor of I - P is positive (Berman-Plemmons, Thm 6.2.3).  Each row of
-    I - P is scaled by the lcm of its denominators, which keeps the sign of
-    every leading minor, and fraction-free (Bareiss) elimination without
-    pivoting then yields those minors as its successive pivots; the first
-    one that is not positive decides False.
+    A block's bracket [lo, hi] decides True if hi < 1 and False if lo >= 1.
+    One that straddles 1 gets a second bracket, from v the float power
+    iterate after at most n steps (n^3 float products, about what
+    elimination makes on growing integers); it straddles 1 too only when
+    rho(P) is 1 or within about ``DEFAULT_TOL`` of it, or when n steps
+    leave v too coarse.  The exact oracle then decides: for nonnegative P,
+    rho(P) < 1 iff every leading principal minor of the Z-matrix I - P is
+    positive (Berman-Plemmons, Thm 6.2.3).  Row i of I - P times dens[i]
+    keeps each minor's sign, and fraction-free (Bareiss) elimination
+    without pivoting yields those minors as its pivots; the first that is
+    not positive decides False.
     """
-    return all(_below_one(p) for _, p in a._blocks)
+    return all(_below_one(b) for b in a._blocks)
 
 
-def _below_one(p: Sequence[Sequence[Fraction]]) -> bool:
-    for lo, hi, x in _exact_brackets(p):
-        if not lo < 1 <= hi:
-            return hi < 1
-    v = _power_iteration(p, x, DEFAULT_TOL, len(p))[2]
-    if v is not None:
-        lo, hi = _bracket(p, v)
-        if not lo < 1 <= hi:
-            return hi < 1
-    return _minors_positive(p)
+def _below_one(b: _Block) -> bool:
+    lo, hi = b.lo, b.hi
+    if lo < 1 <= hi:
+        v = _power_iteration(b, DEFAULT_TOL, len(b.rows))[2]
+        if v is not None:
+            lo, hi = _bracket(b.rows, b.dens, v)
+    return _minors_positive(b) if lo < 1 <= hi else hi < 1
 
 
-def _exact_brackets(p: Sequence[Sequence[Fraction]]) -> Iterator[tuple[Fraction, Fraction, list[int]]]:
-    """(lo, hi, x): the brackets from v = D 1 with D = diag(2^x), first
-    for D = I (the row sums), then for the balancing D of P if it is not I."""
-    x = [0] * len(p)
-    yield (*_bracket(p, [1] * len(p)), x)
-    x = _balance(p)
-    if any(x):
-        yield (*_bracket(p, [1 << e for e in x]), x)
-
-
-def _bracket(p: Sequence[Sequence[Fraction]], v: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """The least and the greatest (Pv)_i / v_i for positive integers v,
-    each row summed in integers over the lcm of its denominators."""
-    ratios = []
-    for row, w in zip(p, v):
-        d = math.lcm(*(e.denominator for e in row))
-        ratios.append(Fraction(sum(e.numerator * (d // e.denominator) * u for e, u in zip(row, v) if e), d * w))
+def _bracket(rows: Sequence[Sequence[int]], dens: Sequence[int], v: Sequence[int]) -> tuple[Fraction, Fraction]:
+    """The least and the greatest (Pv)_i / v_i for positive integers v."""
+    ratios = [Fraction(sum(map(mul, row, v)), q * w) for row, q, w in zip(rows, dens, v)]
     return min(ratios), max(ratios)
 
 
@@ -162,25 +172,24 @@ def _bracket(p: Sequence[Sequence[Fraction]], v: Sequence[int]) -> tuple[Fractio
 _BALANCE_SWEEPS = 8
 
 
-def _balance(p: Sequence[Sequence[Fraction]]) -> list[int]:
+def _balance(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> list[int]:
     """Exponents x >= 0, min 0, of a diagonal similarity D = diag(2^x) that
     evens out D^-1 P D: each sweep sets x_i so that row i and column i
     have about the same largest entry, in binary exponents (Osborne's
     balancing with max in place of sums).  P is primitive and n > 1, so
     every row and column has an entry off the diagonal."""
-    n = len(p)
-    rows = [[(j, _exponent(e)) for j, e in enumerate(row) if e and j != i] for i, row in enumerate(p)]
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, e in row:
-            cols[j].append((i, e))
+    n = len(rows)
+    ex = [[_exponent(e, q) if e else None for e in row] for row, q in zip(rows, dens)]
+    # (j, exponent) of the entries off the diagonal along row i, and down column i
+    row_exp = [[(j, e) for j, e in enumerate(r) if e is not None and j != i] for i, r in enumerate(ex)]
+    col_exp = [[(j, e) for j, e in enumerate(c) if e is not None and j != i] for i, c in enumerate(zip(*ex))]
     x = [0] * n
     for _ in range(_BALANCE_SWEEPS):
         moved = False
         for i in range(n):
             # row i of D^-1 P D peaks at 2^(r - x_i), column i at 2^(c + x_i)
-            r = max(e + x[j] for j, e in rows[i])
-            c = max(e - x[j] for j, e in cols[i])
+            r = max(e + x[j] for j, e in row_exp[i])
+            c = max(e - x[j] for j, e in col_exp[i])
             if abs(r - c - 2 * x[i]) > 1:
                 x[i] = (r - c) // 2
                 moved = True
@@ -190,11 +199,8 @@ def _balance(p: Sequence[Sequence[Fraction]]) -> list[int]:
     return [e - low for e in x]
 
 
-def _minors_positive(rows: Sequence[Sequence[Fraction]]) -> bool:
-    m = []
-    for i, row in enumerate(rows):
-        d = math.lcm(*(e.denominator for e in row))
-        m.append([(d if i == j else 0) - e.numerator * (d // e.denominator) for j, e in enumerate(row)])
+def _minors_positive(b: _Block) -> bool:
+    m = [[(q if i == j else 0) - e for j, e in enumerate(row)] for i, (row, q) in enumerate(zip(b.rows, b.dens))]
     prev = 1
     for k, pivot_row in enumerate(m):
         p = pivot_row[k]
@@ -232,53 +238,49 @@ DEFAULT_TOL = 1e-10
 def leading_eigenvalue(a: RationalMatrix, tol: float = DEFAULT_TOL) -> float:
     """Spectral radius: the largest rho(P)^(1/d) over ``a._blocks``, 0.0 if none.
 
-    rho(P) is exact when a bracket of ``is_contracting`` has lo == hi, from
-    v all ones (every 1x1 P, as for a cycle, and every P with constant row
-    sums) or from v = D 1: then rho(P) = lo and rho(P)^(1/d) is
-    ``cycle_radius(lo, d)``.  Otherwise P is primitive, so unshifted power
-    iteration on the balanced D^-1 P D from the uniform vector converges;
-    iterates v are L1-normalized, the estimate is |P v|_1, and ``tol`` is
-    the stopping threshold on the largest coordinate change of v.  A rho
-    beyond float range is inf; ArithmeticError means the iteration cap.
+    Where a block's bracket closes (lo == hi), as for a 1x1 P (a cycle), for
+    constant row or column sums and for a P that D 1 balances exactly, it
+    is ``cycle_radius(lo, d)``.  Otherwise P is primitive, so unshifted
+    power iteration on the balanced D^-1 P D from the uniform vector
+    converges; iterates v are L1-normalized, the estimate is |P v|_1, and
+    ``tol`` is the stopping threshold on the largest coordinate change of
+    v.  A rho beyond float range is inf; ArithmeticError means the cap.
     """
-    return max((_block_radius(d, p, tol) for d, p in a._blocks), default=0.0)
+    return max((_block_radius(b, tol) for b in a._blocks), default=0.0)
 
 
-def _block_radius(d: int, p: Sequence[Sequence[Fraction]], tol: float) -> float:
-    for lo, hi, x in _exact_brackets(p):
-        if lo == hi:
-            return cycle_radius(lo, d)
-    lam, k, _ = _power_iteration(p, x, tol, MAX_POWER_ITERATIONS)
+def _block_radius(b: _Block, tol: float) -> float:
+    if b.lo == b.hi:
+        return cycle_radius(b.lo, b.d)
+    lam, k, _ = _power_iteration(b, tol, MAX_POWER_ITERATIONS)
     if lam is None:
         raise ArithmeticError(f"power iteration did not converge within {MAX_POWER_ITERATIONS} iterations")
     try:  # ldexp scales by 2^(k // d) exactly: only a rho beyond float range overflows
-        return math.ldexp(lam ** (1 / d) * 2.0 ** (k % d / d), k // d)
+        return math.ldexp(lam ** (1 / b.d) * 2.0 ** (k % b.d / b.d), k // b.d)
     except OverflowError:
         return math.inf
 
 
-def _power_iteration(
-    p: Sequence[Sequence[Fraction]], x: Sequence[int], tol: float, steps: int
-) -> tuple[float | None, int, list[int] | None]:
+def _power_iteration(b: _Block, tol: float, steps: int) -> tuple[float | None, int, list[int] | None]:
     """At most ``steps`` steps of power iteration on D^-1 P D / 2^k from
     the uniform vector, D = diag(2^x) and k the largest binary exponent of
     D^-1 P D, which keeps a long class product in float range.
 
     Returns (lam, k, v): lam 2^k estimates rho(P), None if the iteration
     did not converge; v is the last iterate w brought back to P, D w as
-    exact integers up to a common power of two, None if a coordinate of w
-    is 0.
+    exact integers up to a common power of two, None if some w_j is 0.
     """
-    k = max(_exponent(e) + x[j] - x[i] for i, row in enumerate(p) for j, e in enumerate(row) if e)
-    rows = [[(j, _times_power_of_two(e, x[j] - x[i] - k)) for j, e in enumerate(row) if e] for i, row in enumerate(p)]
-    n = len(p)
+    x, numbered = b.x, list(enumerate(zip(b.rows, b.dens)))
+    k = max(_exponent(e, q) + x[j] - x[i] for i, (row, q) in numbered for j, e in enumerate(row) if e)
+    rows = [[(j, _times_power_of_two(e, q, x[j] - x[i] - k)) for j, e in enumerate(row) if e] for i, (row, q) in numbered]
+    n = len(rows)
     w = [1.0 / n] * n
     lam = None
     for _ in range(steps):
         pw = [sum(e * w[j] for j, e in row) for row in rows]
         est = sum(pw)
         nxt = [c / est for c in pw]
-        if max(abs(a - b) for a, b in zip(nxt, w)) <= tol:
+        if max(abs(s - t) for s, t in zip(nxt, w)) <= tol:
             lam = est
             break
         w = nxt
@@ -291,14 +293,14 @@ def _power_iteration(
     return lam, k, [m << s - low for (m, _), s in zip(ratios, shifts)]
 
 
-def _exponent(e: Fraction) -> int:
-    """An integer within 1 of log2(e), for e > 0."""
-    return e.numerator.bit_length() - e.denominator.bit_length()
+def _exponent(m: int, q: int) -> int:
+    """An integer within 1 of log2(m / q), for m, q > 0."""
+    return m.bit_length() - q.bit_length()
 
 
-def _times_power_of_two(e: Fraction, s: int) -> float:
-    """e 2^s as the nearest float, where float(e) itself may overflow."""
-    return (e.numerator << max(s, 0)) / (e.denominator << max(-s, 0))
+def _times_power_of_two(m: int, q: int, s: int) -> float:
+    """m / q 2^s as the nearest float, where m / q itself may overflow."""
+    return (m << max(s, 0)) / (q << max(-s, 0))
 
 
 @dataclass(frozen=True)
@@ -313,20 +315,15 @@ class AbelianVirtualEndo:
             raise ValueError("domain scale must be a positive integer")
         for row in self.matrix.entries:
             for e in row:
-                if (e * self.domain_scale).denominator != 1:
-                    raise ValueError(
-                        f"scale {self.domain_scale} does not clear denominator of {e}"
-                    )
+                if self.domain_scale % e.denominator:
+                    raise ValueError(f"scale {self.domain_scale} does not clear denominator of {e}")
 
     @classmethod
     def from_matrix(
         cls, matrix: RationalMatrix, domain_scale: int | None = None
     ) -> "AbelianVirtualEndo":
         if domain_scale is None:
-            domain_scale = 1
-            for row in matrix.entries:
-                for e in row:
-                    domain_scale = math.lcm(domain_scale, e.denominator)
+            domain_scale = math.lcm(*(e.denominator for row in matrix.entries for e in row))
         return cls(matrix, domain_scale)
 
 
@@ -366,8 +363,8 @@ def contraction_coefficient_estimate(
 
 
 # The largest dimension parse_matrix accepts: a dense primitive block whose
-# brackets all straddle 1 goes to elimination, which takes seconds at 200,
-# and minutes when its rows have many different denominators.
+# rho is 1 with neither its row nor its column sums constant goes to
+# elimination: about 10 s at 200, minutes if rows hold many denominators.
 MAX_MATRIX_DIM = 200
 
 

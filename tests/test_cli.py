@@ -326,8 +326,10 @@ def test_spectra_matrix_file(capsys, tmp_path):
         pytest.param("2\n1 1\n0 1\n", "1", False, id="2x2-1"),
         pytest.param("3\n1/2 1 0\n0 1/2 1\n0 0 1/2\n", "0.5", True, id="3x3-1/2"),
         pytest.param("3\n1 1 0\n0 1 1\n0 0 1\n", "1", False, id="3x3-1"),
-        # nearly decomposable: eigenvalues 1 and 1 - 3e-7 outlast the cap
-        pytest.param("2\n0.9999999 0.0000002\n0.0000001 0.9999998\n", "not converged", False, id="near-1"),
+        # nearly decomposable, eigenvalues 1 and 1 - 3e-7: the column sums read rho exactly
+        pytest.param("2\n0.9999999 0.0000002\n0.0000001 0.9999998\n", "1", False, id="near-1"),
+        # eigenvalues about 4e-9 apart outlast the cap, and neither sum is constant
+        pytest.param("2\n0.5 0.000000001\n0.000000003 0.5000000005\n", "not converged", True, id="near-1/2"),
         # an 11-cycle whose weights multiply to 1: rho is 1 to the last digit
         pytest.param(_cycle_text("2 1/2 3 1/3 5 1/5 7 1/7 3/2 2/3 1".split()), "1", False, id="11-cycle-product-1"),
         # rho beyond float range reads inf, below it 0
@@ -359,10 +361,9 @@ def test_spectra_keeps_the_exact_verdict_on_jordan_blocks(capsys, tmp_path, text
 
 
 def test_spectra_cycle_of(capsys):
-    code, doc = run_json(
-        capsys, "spectra", "--cycle-of", "x", "--map", "rabbit", "--tol", "1e-12"
-    )
+    code, doc = run_json(capsys, "spectra", "--cycle-of", "x", "--map", "rabbit")
     assert code == 0
+    assert doc["inputs"] == {"map": "rabbit", "curve": "x"}
     res = doc["results"]
     assert res["cycle_weight_product"] == "1/4"
     assert res["cycle_length"] == 3
@@ -412,9 +413,10 @@ def test_spectra_needs_exactly_one_source(capsys):
     "argv, message",
     [
         (["--cycle-of", "x"], "--cycle-of requires --map"),
+        (["--cycle-of", "x", "--map", "rabbit", "--tol", "1e-12"], "--tol applies only to --matrix"),
         *((["--matrix", "m.mat", "--tol", tol], "--tol must be a positive finite number") for tol in ("0", "-1", "nan", "inf")),
     ],
-    ids=["cycle-of-without-map", "tol-0", "tol-minus-1", "tol-nan", "tol-inf"],
+    ids=["cycle-of-without-map", "cycle-of-with-tol", "tol-0", "tol-minus-1", "tol-nan", "tol-inf"],
 )
 def test_spectra_usage_errors(capsys, argv, message):
     # rejected before any file is read

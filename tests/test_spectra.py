@@ -167,12 +167,11 @@ def test_leading_eigenvalue_zero_matrix():
 
 
 def test_leading_eigenvalue_nonconvergence_names_cap():
-    # a nearly decomposable primitive block: its second eigenvalue
-    # 1 - 3e-7 is so close to rho = 1 that the iteration cannot meet a
-    # tight tolerance within the cap
-    a = RationalMatrix.from_rows(
-        [[Fraction(9999999, 10**7), Fraction(2, 10**7)], [Fraction(1, 10**7), Fraction(9999998, 10**7)]]
-    )
+    # a nearly decomposable primitive block: its eigenvalues lie within
+    # about 4e-9 of each other, so the iteration cannot meet a tight
+    # tolerance within the cap, and neither its row sums nor its column
+    # sums are constant, so no bracket closes
+    a = parse_matrix("2\n0.5 0.000000001\n0.000000003 0.5000000005\n")
     with pytest.raises(ArithmeticError, match="100000"):
         leading_eigenvalue(a, tol=1e-14)
 
@@ -323,22 +322,35 @@ def _straddling_rows(rng, n):
     return [[Fraction(3 if i % 2 else 1, 2) * e for e in row] for i, row in enumerate(_stochastic_rows(rng, n, 0))]
 
 
+def _diagonally_similar(rng, rows):
+    """D^-1 A D for a random diagonal D of 1s and 3s: same spectrum, other sums."""
+    d = [rng.choice((1, 3)) for _ in rows]
+    return [[e * d[j] / d[i] for j, e in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _sum_brackets(b):
+    """The row-sum and the column-sum bracket of a block's class product."""
+    p = [[Fraction(e, q) for e in row] for row, q in zip(b.rows, b.dens)]
+    return [(min(map(sum, m)), max(map(sum, m))) for m in (p, list(zip(*p)))]
+
+
 def _count_elimination(monkeypatch) -> list:
-    """Record each P that is_contracting hands to the exact oracle."""
+    """Record each block that is_contracting hands to the exact oracle."""
     calls = []
     oracle = spectra._minors_positive
 
-    def counted(p):
-        calls.append(p)
-        return oracle(p)
+    def counted(b):
+        calls.append(b)
+        return oracle(b)
 
     monkeypatch.setattr(spectra, "_minors_positive", counted)
     return calls
 
 
 def test_brackets_decide_and_elimination_runs_only_on_straddling_blocks(monkeypatch):
-    # rho(P) lies in the row-sum bracket [lo, hi] of each block; the verdict
-    # is the oracle's, and the oracle sees only blocks whose bracket holds 1
+    # each block's bracket [lo, hi] lies within its row-sum and its
+    # column-sum bracket and holds rho(P); the verdict is the oracle's, and
+    # the oracle sees only blocks whose bracket holds 1
     rng = random.Random(37)
     oracle = spectra._minors_positive
     families = {
@@ -350,8 +362,10 @@ def test_brackets_decide_and_elimination_runs_only_on_straddling_blocks(monkeypa
         "row sums 3/2": lambda n: _scaled(_stochastic_rows(rng, n, 0.3), Fraction(3, 2)),
         # from n = 5 up, the iterate after n steps decides these
         "row sums 1/2 and 3/2": lambda n: _permuted(rng, _straddling_rows(rng, n + 3)),
-        # rho exactly 1 with unequal row sums: no bracket can decide it
+        # rho exactly 1 with unequal row sums: the column sums close the bracket
         "column sums 1": lambda n: [list(col) for col in zip(*_stochastic_rows(rng, n, 0.3))],
+        # rho exactly 1 with neither sum constant: no bracket can decide it
+        "D^-1 S D": lambda n: _diagonally_similar(rng, _stochastic_rows(rng, n, 0.3)),
     }
     eliminated = {}
     calls = _count_elimination(monkeypatch)
@@ -360,20 +374,33 @@ def test_brackets_decide_and_elimination_runs_only_on_straddling_blocks(monkeypa
         for _ in range(100):
             a = RationalMatrix.from_rows(make(rng.randint(2, 10)))
             calls.clear()
-            brackets = [(d, p, *spectra._bracket(p, [1] * len(p))) for d, p in a._blocks]
-            assert is_contracting(a) is all(oracle(p) for _, p in a._blocks), (name, a)
-            straddling = [p for _, p, lo, hi in brackets if lo < 1 <= hi]
-            assert all(any(c is p for p in straddling) for c in calls), (name, a)
+            assert is_contracting(a) is all(oracle(b) for b in a._blocks), (name, a)
+            straddling = [b for b in a._blocks if b.lo < 1 <= b.hi]
+            assert all(any(c is b for b in straddling) for c in calls), (name, a)
             eliminated[name] += len(calls)
+            for b in a._blocks:
+                (row_lo, row_hi), (col_lo, col_hi) = _sum_brackets(b)
+                assert max(row_lo, col_lo) <= b.lo <= b.hi <= min(row_hi, col_hi), (name, a)
             lam = leading_eigenvalue(a)
-            low = max((spectra.cycle_radius(lo, d) for d, _, lo, _ in brackets), default=0.0)
-            high = max((spectra.cycle_radius(hi, d) for d, _, _, hi in brackets), default=0.0)
+            low = max((spectra.cycle_radius(b.lo, b.d) for b in a._blocks), default=0.0)
+            high = max((spectra.cycle_radius(b.hi, b.d) for b in a._blocks), default=0.0)
             assert low * (1 - 1e-9) <= lam <= high * (1 + 1e-9), (name, a)
-            if all(lo == hi for *_, lo, hi in brackets):
+            if all(b.lo == b.hi for b in a._blocks):
                 assert lam == high, (name, a)
     assert eliminated["row sums 1/2"] == eliminated["row sums 1"] == eliminated["row sums 3/2"] == 0
-    assert eliminated["row sums 1/2 and 3/2"] == 0
-    assert eliminated["column sums 1"] > 0
+    assert eliminated["row sums 1/2 and 3/2"] == eliminated["column sums 1"] == 0
+    assert eliminated["D^-1 S D"] > 0
+
+
+def test_each_block_is_certified_once(monkeypatch):
+    # both answers read one record per block: the row-sum bracket of a
+    # matrix with constant row sums closes, and nothing recomputes it
+    calls = []
+    bracket = spectra._bracket
+    monkeypatch.setattr(spectra, "_bracket", lambda *args: calls.append(args) or bracket(*args))
+    a = RationalMatrix.from_rows(_scaled(_stochastic_rows(random.Random(39), 6, 0), Fraction(1, 2)))
+    assert is_contracting(a) and leading_eigenvalue(a) == 0.5
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2)], ids=["rho-1.2", "rho-0.6"])
