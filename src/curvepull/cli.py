@@ -8,7 +8,15 @@ with any other single suite, and with ``--suite all`` on a map that
 prop84 does not apply to; it is at most ``verify.MAX_SECTION_DEPTH``
 (20): the prop84 conjugator w_n has 2^(n+1) - 3 letters.
 ``sweep --max-len`` is at most ``MAX_SWEEP_LENGTH`` (10): the number of
-curves triples per letter.
+curves triples per letter.  ``--max-steps`` (``orbit``, ``sweep`` and
+``spectra --cycle-of``) is at most ``MAX_STEPS`` (10,000): an orbit that
+drifts builds conjugators that grow with each step.
+
+``main`` builds its parser once per process, on its first call, and
+reuses it on every later call; it looks up the command's ``cmd_*``
+function by name in this module at call time, so a ``cmd_*`` replaced
+after that first call (say, by a wrapper that traces it) is the one
+that runs.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error.  Rational weights are printed exactly as p/q;
@@ -18,6 +26,7 @@ floats appear only in eigenvalue estimates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -118,6 +127,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 # letter, and length 10 (196,830 curves on the rabbit) already takes about
 # 5 s and 165 MB (2-CPU host, Python 3.11).
 MAX_SWEEP_LENGTH = 10
+
+# Most pullback steps ``orbit``, ``sweep`` and ``spectra --cycle-of`` take
+# per orbit.  An orbit that drifts (ROADMAP item 2's twisted rabbit, whose
+# z-orbit moves by x^-1 every 2 steps) costs time and memory quadratic in
+# the steps: ``orbit --curve z`` on it takes 9-12 s and 574 MB at 10,000
+# steps (0.3-0.5 s and 40 MB at 2,000; 2-CPU host, Python 3.11).
+MAX_STEPS = 10_000
 
 
 def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
@@ -243,7 +259,9 @@ def cmd_mapinfo(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     }, lines, 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="curvepull",
         description="Exact pullback dynamics of curves under quadratic Thurston maps",
@@ -258,21 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_orbit)
     p_orbit.add_argument("--curve", required=True, help="AXIS or AXIS^(WORD)")
     p_orbit.add_argument("--max-steps", type=int, default=1000)
-    p_orbit.set_defaults(func=cmd_orbit)
 
     p_verify = sub.add_parser("verify", help="check a built-in map against its reference identities")
     add_common(p_verify)
     p_verify.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     # no default, so that main can tell a --n given with another suite
     p_verify.add_argument("--n", type=int, default=argparse.SUPPRESS, help="depth for the prop84 suite (default 12)")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="classify all curves up to a conjugator length")
     add_common(p_sweep)
     p_sweep.add_argument("--max-len", type=int, required=True)
     p_sweep.add_argument("--max-steps", type=int, default=1000)
     p_sweep.add_argument("--jobs", type=int, default=None, help="accepted and ignored; a sweep runs in one process")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_spectra = sub.add_parser("spectra", help="leading eigenvalue and exact contraction verdict")
     p_spectra.add_argument("--matrix", help="matrix file: first line n, then n rows of rationals")
@@ -283,17 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectra.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                            help=f"stopping threshold of the --matrix power iteration (default {spectra.DEFAULT_TOL:g})")
     p_spectra.add_argument("--format", choices=("text", "json"), default="text")
-    p_spectra.set_defaults(func=cmd_spectra)
 
     p_info = sub.add_parser("mapinfo", help="show a map definition")
     add_common(p_info)
-    p_info.set_defaults(func=cmd_mapinfo)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "spectra":
         if bool(args.matrix) == bool(args.cycle_of):
@@ -308,6 +321,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--tol must be a positive finite number")
     if getattr(args, "max_steps", 1) < 1:
         parser.error("--max-steps must be at least 1")
+    if getattr(args, "max_steps", 1) > MAX_STEPS:
+        parser.error(f"--max-steps must be at most {MAX_STEPS}")
     if "n" in vars(args):
         if args.suite not in ("prop84", "all"):
             parser.error("--n applies only to --suite prop84 or all")
@@ -321,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--max-len must be at most {MAX_SWEEP_LENGTH}")
     try:
         t0 = time.perf_counter()
-        report, lines, code = args.func(args)
+        report, lines, code = globals()[f"cmd_{args.command}"](args)
         _emit({"command": args.command, **report, "elapsed_s": time.perf_counter() - t0}, args.format, lines)
         return code
     except (ValueError, OSError, ArithmeticError) as exc:

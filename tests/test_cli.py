@@ -1,8 +1,10 @@
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
+from curvepull import cli, spectra
 from curvepull.cli import main
 from curvepull.curves import EntersCycle, OrbitResult, PullbackSystem
 
@@ -533,3 +535,72 @@ def test_max_steps_validation(capsys):
             main(["sweep", "--map", "rabbit", "--max-len", n])
         assert exc.value.code == 2
         assert f"--max-len must be {message}" in capsys.readouterr().err
+    for argv in (["orbit", "--curve", "x"], ["sweep", "--max-len", "1"], ["spectra", "--cycle-of", "x"]):
+        argv = [*argv, "--map", "rabbit", "--max-steps"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(cli.MAX_STEPS + 1)])
+        assert exc.value.code == 2
+        assert f"error: --max-steps must be at most {cli.MAX_STEPS}\n" in capsys.readouterr().err
+        assert main([*argv, str(cli.MAX_STEPS)]) == 0
+        capsys.readouterr()
+
+
+def _call(capsys, argv):
+    """Exit code and stdout of one ``main`` call, JSON without elapsed_s."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    if "json" in argv and out:
+        doc = json.loads(out)
+        del doc["elapsed_s"]
+        return code, doc
+    return code, out
+
+
+@pytest.mark.parametrize(
+    "before, code, after",
+    [
+        (["verify", "--map", "dendrite", "--suite", "prop84", "--n", "3"], 0,
+         ["verify", "--map", "rabbit", "--suite", "table7"]),
+        (["spectra", "--matrix", "F", "--tol", "1e-3", "--format", "json"], 0,
+         ["spectra", "--matrix", "F", "--format", "json"]),
+        (["orbit", "--map", "rabbit", "--curve", "x", "--max-steps", "5", "--format", "json"], 0,
+         ["orbit", "--map", "rabbit", "--curve", "x", "--format", "json"]),
+        (["orbit", "--map", "rabbit", "--curve", "x", "--max-steps", "0"], 2,
+         ["mapinfo", "--map", "rabbit"]),
+        (["spectra", "--cycle-of", "x", "--map", "rabbit", "--bogus"], 2,
+         ["spectra", "--cycle-of", "x", "--map", "rabbit"]),
+    ],
+    ids=["verify-n", "spectra-tol", "orbit-max-steps", "usage-error", "unknown-option"],
+)
+def test_reused_parser_leaks_nothing_between_calls(capsys, tmp_path, before, code, after):
+    f = tmp_path / "F.mat"
+    f.write_text("2\n1/2 1/3\n1/5 1/7\n")
+    before, after = ([str(f) if a == "F" else a for a in argv] for argv in (before, after))
+    cli._parser.cache_clear()
+    first = _call(capsys, after)
+    assert first[0] == 0
+    cli._parser.cache_clear()
+    assert _call(capsys, before)[0] == code
+    assert _call(capsys, after) == first
+    if "--tol" in before:
+        assert first[1]["inputs"]["tol"] == spectra.DEFAULT_TOL
+
+
+def test_parser_built_once_and_commands_looked_up_at_call_time(capsys, monkeypatch):
+    assert main(["mapinfo", "--map", "rabbit"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_mapinfo", lambda args: ({"map": args.map}, ["patched"], 0))
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(["mapinfo", "--map", "rabbit"]) == 0
+    assert capsys.readouterr().out == "patched\n"
+    assert calls == []
