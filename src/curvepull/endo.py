@@ -7,16 +7,17 @@ Schreier generator of H.  The homomorphism property is then structural:
 the factor decomposition telescopes to the input word.
 
 The transducer is a step table, one row per coset state: reading a
-letter in a state is a single lookup that gives the letters it emits and
-the state after it, so a scan does one lookup per input letter.
+letter in a state gives the letters it emits and the state after it.
+A scan reads blocks of four letters from per-state tables filled from
+the step table on first use, so it does one lookup per four letters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .words import Word, substitute
+from .words import Word, _block_tables, _BlockTable, _transduce, substitute
 
 
 class DomainError(ValueError):
@@ -85,11 +86,17 @@ class VirtualEndo:
     ``steps[state][letter]`` is the pair (output letter codes, state after
     the letter).  All eight entries are derived from the three declared
     Schreier-generator images, so a single source of truth drives both
-    evaluation directions.
+    evaluation directions.  ``blocks`` holds one block table per state,
+    filled from ``steps`` as words are read; a scan reads them one lookup
+    per four letters.
     """
 
     parity: ParityHom
     steps: tuple[Mapping[int, tuple[tuple[int, ...], int]], ...]
+    blocks: tuple[_BlockTable, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", _block_tables(self.steps))
 
     @classmethod
     def from_images(cls, parity: ParityHom, images: Mapping[Word, Word]) -> "VirtualEndo":
@@ -116,20 +123,7 @@ class VirtualEndo:
         return self.parity.theta(w) == 0
 
     def _scan(self, w: Word, state: int) -> Word:
-        steps = self.steps
-        stack: list[int] = []
-        pop, push = stack.pop, stack.append
-        top = 0  # last letter of the stack, 0 when it is empty
-        for c in w.codes:
-            out, state = steps[state][c]
-            for o in out:
-                if top == -o:
-                    pop()
-                    top = stack[-1] if stack else 0
-                else:
-                    push(o)
-                    top = o
-        return Word(stack, _reduced=True)
+        return _transduce(w.codes, self.blocks, state)
 
     def apply(self, w: Word) -> Word:
         """psi(w) for w in H; raises DomainError otherwise."""

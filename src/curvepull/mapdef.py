@@ -106,7 +106,9 @@ class MapDefinition:
         return format_word(w, self.gens)
 
     def endomorphism(self) -> endo.VirtualEndo:
-        return endo.VirtualEndo.from_images(self.parity, dict(self.schreier_images))
+        """The map's transducer, shared by every map with the same parity
+        bits and Schreier images, so its block tables fill once."""
+        return _endomorphism(self.parity_bits, self.schreier_images)
 
     def axis_ball(self) -> frozenset[Word]:
         """Identity plus the six axis letters; for the rabbit this is the
@@ -116,6 +118,12 @@ class MapDefinition:
             ball.add(a)
             ball.add(~a)
         return frozenset(ball)
+
+
+# Keyed by what defines the transducer, not by the map's name.
+@lru_cache(maxsize=64)
+def _endomorphism(bits: tuple[int, int], images: tuple[tuple[Word, Word], ...]) -> endo.VirtualEndo:
+    return endo.VirtualEndo.from_images(endo.ParityHom(bits), dict(images))
 
 
 def parse_mapdef(text: str) -> MapDefinition:

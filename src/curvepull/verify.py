@@ -169,7 +169,7 @@ def verify_recursions(mapdef: MapDefinition, psi: endo.VirtualEndo) -> SuiteResu
 
 
 # Deepest prop84 check the CLI accepts: w_n has 2^(n+1) - 3 letters, and
-# n = 20 already takes about 2.2-2.4 s and 85 MB (2-CPU host, Python 3.11).
+# n = 20 already takes about 0.9-1.3 s and 85 MB (2-CPU host, Python 3.11).
 MAX_SECTION_DEPTH = 20
 
 

@@ -9,8 +9,9 @@ literal equality of tuples.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from itertools import chain, islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 _LETTERS = frozenset((1, -1, 2, -2))
@@ -154,28 +155,92 @@ def primitive_root(c: CyclicWord) -> tuple[CyclicWord, int]:
     raise AssertionError("unreachable: every word is its own root")
 
 
+# Letters read per table lookup by the transducer kernel below.
+_BLOCK = 4
+
+
+class _BlockTable(dict):
+    """One start state's lookups for a letter-to-word transducer.
+
+    ``steps[state][letter]`` is the pair (output letters, state after the
+    letter).  A key is a block of 0 to ``_BLOCK`` letters read from
+    ``state``; its value is the triple (the block's freely reduced output,
+    the state after it, the letter that cancels the output's first letter
+    or None when the output is empty).  Entries are filled on first read,
+    so a table costs nothing until words are read through it.
+    """
+
+    __slots__ = ("steps", "state")
+
+    def __init__(self, steps: Sequence[Mapping[int, tuple[tuple[int, ...], int]]], state: int):
+        super().__init__()
+        self.steps = steps
+        self.state = state
+
+    def __missing__(self, block: tuple[int, ...]) -> tuple[tuple[int, ...], int, int | None]:
+        steps, state = self.steps, self.state
+        outs = []
+        for c in block:
+            out, state = steps[state][c]
+            outs.append(out)
+        out = _reduce_codes(chain.from_iterable(outs))
+        entry = self[block] = (out, state, -out[0] if out else None)
+        return entry
+
+
+def _block_tables(steps: Sequence[Mapping[int, tuple[tuple[int, ...], int]]]) -> tuple[_BlockTable, ...]:
+    """One block table per start state of the transducer ``steps``."""
+    return tuple(_BlockTable(steps, state) for state in range(len(steps)))
+
+
+def _transduce(codes: tuple[int, ...], tables: Sequence[_BlockTable], state: int) -> Word:
+    """The freely reduced output of reading the reduced word ``codes``
+    from ``state``, one table lookup per ``_BLOCK`` letters.
+
+    The first ``len(codes) % _BLOCK`` letters are read as one block and
+    the rest in full blocks.  Each block's output is already reduced, so
+    letters cancel only where it meets the output so far.
+    """
+    head = len(codes) % _BLOCK
+    out, state, _ = tables[state][codes[:head]]
+    stack = [0, *out]  # 0 marks the bottom: no letter cancels it
+    it = islice(codes, head, None)
+    for block in zip(*[it] * _BLOCK):
+        out, state, cancels = tables[state][block]
+        if stack[-1] == cancels:
+            n = len(out)
+            k = 1
+            while k < n and stack[-1 - k] == -out[k]:
+                k += 1
+            del stack[-k:]
+            stack += out[k:]
+        else:
+            stack += out
+    del stack[0]
+    return Word(stack, _reduced=True)
+
+
+@lru_cache(maxsize=16)
+def _substitution(images: tuple[tuple[int, tuple[int, ...]], ...]) -> tuple[_BlockTable]:
+    """The one-state transducer of a substitution, from (generator index,
+    image letters) pairs; cached so that repeated substitutions by the
+    same images share their filled table."""
+    step: dict[int, tuple[tuple[int, ...], int]] = {}
+    for g, codes in images:
+        step[g + 1] = (codes, 0)
+        step[-g - 1] = (tuple(-c for c in reversed(codes)), 0)
+    return _block_tables((step,))
+
+
 def substitute(u: Word, images: Mapping[int, Word]) -> Word:
     """Apply the endomorphism sending generator index g to images[g].
 
-    The images are Words, so their letters need no check: the result is
-    freely reduced on a stack in the same pass that reads them.
+    A substitution is a one-state transducer, so this reads u one lookup
+    per four letters (see ``_transduce``).  The images are Words, so their
+    letters need no check.
     """
-    table: dict[int, tuple[int, ...]] = {}
-    for g, img in images.items():
-        table[g + 1] = img.codes
-        table[-g - 1] = (~img).codes
-    stack: list[int] = []
-    pop, push = stack.pop, stack.append
-    top = 0  # last letter of the stack, 0 when it is empty
-    for c in u.codes:
-        for o in table[c]:
-            if top == -o:
-                pop()
-                top = stack[-1] if stack else 0
-            else:
-                push(o)
-                top = o
-    return Word(stack, _reduced=True)
+    tables = _substitution(tuple((g, img.codes) for g, img in images.items()))
+    return _transduce(u.codes, tables, 0)
 
 
 def geodesic_length(u: Word, extra_blocks: Iterable[Word] = ()) -> int:
@@ -219,7 +284,7 @@ class WordSyntaxError(ValueError):
 # Most letters a word literal may spell, counted before free reduction:
 # a token NAME^k spells |k| times the letters of NAME.  The cap is
 # checked before any letter is built; an orbit of a curve at the cap
-# takes about 2-4 s and 160 MB (2-CPU host, Python 3.11).
+# takes about 0.4-2.5 s and up to 180 MB (2-CPU host, Python 3.11).
 MAX_LITERAL_LETTERS = 1_000_000
 
 

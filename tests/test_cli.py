@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvepull import cli, spectra
+from curvepull import cli, mapdef, spectra
 from curvepull.cli import main
 from curvepull.curves import EntersCycle, OrbitResult, PullbackSystem
 
@@ -235,6 +235,19 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--map", str(f), "--suite", "table7")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_corrupted_rabbit_and_builtin_rabbit_keep_their_verdicts_in_one_process(capsys, tmp_path):
+    # Transducers are shared between maps with equal images, so a map
+    # named rabbit with another image must not get or leave the built-in's.
+    f = tmp_path / "rabbit.map"
+    f.write_text(RABBIT_TEXT.replace("map twinrabbit", "map rabbit").replace(
+        "schreier x -> y", "schreier x -> y y"
+    ))
+    mapdef._endomorphism.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "verify", "--map", str(f), "--suite", "all")[0] == 1
+        assert run(capsys, "verify", "--map", "rabbit", "--suite", "all")[0] == 0
 
 
 def test_sweep_rabbit_len0(capsys):

@@ -165,6 +165,79 @@ def test_scan_matches_schreier_factor_product(rabbit, dendrite):
                 assert psi.apply(w) == want[0]
 
 
+def scan_letter_by_letter(steps, w, state):
+    """Reference for the block kernel: push each letter's output onto a
+    reducing stack one letter at a time."""
+    stack = []
+    for c in w.codes:
+        out, state = steps[state][c]
+        for o in out:
+            if stack and stack[-1] == -o:
+                stack.pop()
+            else:
+                stack.append(o)
+    return Word(stack)
+
+
+def reduced_words_up_to(max_len):
+    words, frontier = [()], [()]
+    for _ in range(max_len):
+        frontier = [w + (c,) for w in frontier for c in (1, -1, 2, -2) if not w or c != -w[-1]]
+        words += frontier
+    return [Word(w, _reduced=True) for w in words]
+
+
+def reduced_of_length(rng, n):
+    codes = []
+    while len(codes) < n:
+        codes.append(rng.choice([c for c in (1, -1, 2, -2) if not codes or c != -codes[-1]]))
+    return Word(codes, _reduced=True)
+
+
+def test_block_scan_matches_letter_by_letter_scan(rabbit, dendrite):
+    rng = random.Random(21)
+    words = reduced_words_up_to(6)
+    words += [reduced_of_length(rng, n) for n in range(201)]  # every length mod 4
+    words += list(section_conjugators(12))
+    assert len(words) == 1457 + 201 + 12
+    for mapdef in (rabbit, dendrite):
+        psi = mapdef.endomorphism()
+        for w in words:
+            for state in (0, 1):
+                assert psi._scan(w, state) == scan_letter_by_letter(psi.steps, w, state)
+
+
+def test_block_outputs_cancel_across_many_blocks(rabbit, dendrite):
+    # u m u^-1, with m read to the empty word from state 0 and u ending
+    # there: the scan of u^-1 emits the inverse of the scan of u, so the
+    # later blocks' outputs cancel all of the earlier ones.
+    rng = random.Random(22)
+    for mapdef, middle in ((rabbit, "y^-1 x y"), (dendrite, "a a")):
+        psi = mapdef.endomorphism()
+        m = mapdef.word(middle)
+        assert psi._scan(m, 0).is_identity()
+        tried = 0
+        for _ in range(200):
+            u = reduced_of_length(rng, 160 + tried % 4)
+            w = u * m * ~u
+            if psi.parity.theta(u) or len(w) != 2 * len(u) + len(m) or len(psi._scan(u, 0)) < 12:
+                continue
+            tried += 1
+            assert psi._scan(w, 0) == scan_letter_by_letter(psi.steps, w, 0) == Word.identity()
+        assert tried >= 20
+
+
+def test_equal_steps_compare_equal_whatever_the_tables_hold(rabbit):
+    images = dict(rabbit.schreier_images)
+    filled = VirtualEndo.from_images(rabbit.parity, images)
+    fresh = VirtualEndo.from_images(rabbit.parity, images)
+    filled._scan(Word((1, 2, 1, -2, 1)), 0)
+    assert filled.blocks != fresh.blocks
+    assert filled == fresh
+    assert repr(filled) == repr(fresh)
+    assert "blocks" not in repr(filled)
+
+
 def test_generator_images_rabbit(rabbit):
     psi = rabbit.endomorphism()
     w = rabbit.word
@@ -382,6 +455,17 @@ def test_section_values(dendrite):
     w = dendrite.word
     assert section(w("a")) == w("b^-1 a^-1 b^-1 a")
     assert section(w("b")) == w("a^-1 b a")
+
+
+def test_section_matches_substitute_then_reduce(dendrite):
+    images = {1: dendrite.word("b^-1 a^-1 b^-1 a"), 2: dendrite.word("a^-1 b a")}
+    rng = random.Random(23)
+    words = [reduced_of_length(rng, n) for n in range(201)] + list(section_conjugators(10))
+    for w in words:
+        codes = []
+        for c in w.codes:
+            codes += images[c].codes if c > 0 else (~images[-c]).codes
+        assert section(w) == Word(codes)
 
 
 def test_section_is_right_inverse(dendrite):

@@ -171,6 +171,17 @@ def test_load_map_builtin_and_path(tmp_path, monkeypatch):
         load_map("nosuchmap")
 
 
+def test_endomorphism_is_shared_by_equal_images_not_by_name():
+    psi = builtin("rabbit").endomorphism()
+    assert builtin("rabbit").endomorphism() is psi
+    assert parse_mapdef(GOOD).endomorphism() is psi
+    corrupt = parse_mapdef(GOOD.replace("schreier x -> y", "schreier x -> y y"))
+    assert corrupt.name == "rabbit"
+    assert corrupt.endomorphism() is not psi
+    assert corrupt.endomorphism() != psi
+    assert corrupt.endomorphism() is corrupt.endomorphism()
+
+
 def test_axis_ball(rabbit):
     w = rabbit.word
     assert rabbit.axis_ball() == frozenset(

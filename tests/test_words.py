@@ -8,6 +8,7 @@ from curvepull.words import (
     CyclicWord,
     Word,
     WordSyntaxError,
+    _reduce_codes,
     cyclic_reduce,
     format_word,
     geodesic_length,
@@ -227,6 +228,24 @@ def test_substitute():
             img = images[abs(c) - 1]
             want = want * (img if c > 0 else ~img)
         assert substitute(u, images) == want
+
+
+def test_substitute_matches_substitute_then_reduce():
+    # images that cancel into each other, and the empty image
+    image_sets = [
+        {0: W("y x"), 1: W("x^-1 y^-1 x")},
+        {0: W("x y x^-1"), 1: W("x y^-1 x^-1")},
+        {0: W("1"), 1: W("y x y")},
+    ]
+    rng = random.Random(108)
+    for images in image_sets:
+        for n in range(201):
+            u = random_reduced(rng, n)
+            codes = []
+            for c in u.codes:
+                img = images[abs(c) - 1]
+                codes += img.codes if c > 0 else (~img).codes
+            assert substitute(u, images).codes == _reduce_codes(codes)
 
 
 def test_geodesic_length_plain():
