@@ -12,6 +12,12 @@ curves triples per letter.  ``--max-steps`` (``orbit``, ``sweep`` and
 ``spectra --cycle-of``) is at most ``MAX_STEPS`` (10,000): an orbit that
 drifts builds conjugators that grow with each step.
 
+``sweep --jobs`` (at least 1; by default the CPUs this process may use)
+splits a sweep into that many shares of the curve tree, never more than
+the usable CPUs: the calling process classifies one share and a forked
+child each other one (see ``run_sweep``).  The report is the same at
+every ``--jobs``.
+
 ``main`` builds its parser once per process, on its first call, and
 reuses it on every later call; it looks up the command's ``cmd_*``
 function by name in this module at call time, so a ``cmd_*`` replaced
@@ -26,14 +32,23 @@ floats appear only in eigenvalue estimates.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import functools
+import gc
 import json
 import math
+import operator
+import os
+import pickle
+import signal
 import sys
+import threading
 import time
+from typing import BinaryIO, Callable, NamedTuple
 
 from . import spectra
-from .curves import EntersCycle, EventuallyTrivial, PullbackSystem, Unresolved
+from .curves import EntersCycle, EventuallyTrivial, PullbackSystem, Unresolved, order_key
 from .mapdef import load_map
 from .verify import MAX_SECTION_DEPTH, SUITES, SuiteError, applies, run_suite, sweep_facts
 
@@ -125,7 +140,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 # Longest conjugator ``sweep`` accepts: the number of curves triples per
 # letter, and length 10 (196,830 curves on the rabbit) already takes about
-# 5 s and 165 MB (2-CPU host, Python 3.11).
+# 1.9-3.5 s and 94 MB per process at the default --jobs, and 3.2-6.3 s and
+# 167 MB at --jobs 1 (2-CPU host, Python 3.11).
 MAX_SWEEP_LENGTH = 10
 
 # Most pullback steps ``orbit``, ``sweep`` and ``spectra --cycle-of`` take
@@ -136,37 +152,174 @@ MAX_SWEEP_LENGTH = 10
 MAX_STEPS = 10_000
 
 
-def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
-    """Classify every curve with conjugator length <= max_len; return the
-    histogram and the counterexamples found by ``verify.sweep_facts``."""
-    curves = system.enumerate_curves(max_len)
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share_count(system: PullbackSystem, max_len: int, jobs: int | None) -> int:
+    """The number of shares a sweep runs in: ``jobs`` (default: the
+    usable CPUs), but never more than the usable CPUs or the non-empty
+    shares, and 1 where this process cannot fork, or should not because
+    another thread runs in it."""
+    cpus = _usable_cpus()
+    k = cpus if jobs is None else min(jobs, cpus)
+    if k < 2 or max_len < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    # each non-empty share holds at least one curve of length 2
+    return min(k, sum(len(c.conjugator) == 2 for c in system.enumerate_curves(2)))
+
+
+class _Tally(NamedTuple):
+    """One share's part of a sweep report.
+
+    Each counterexample is (``order_key`` of its curve, text).  The error
+    is None, or (key, exception) for the exception that stopped the
+    share, with key (0, order key of the start whose walk raised) while
+    classifying and (1, order key of the curve) while checking.
+    """
+
+    count: int
+    histogram: dict[tuple[str, int], int]
+    counterexamples: list[tuple[tuple, str]]
+    error: tuple[tuple, Exception] | None
+
+
+def _sweep_share(system: PullbackSystem, max_len: int, max_steps: int, share: int, shares: int) -> _Tally:
+    """Enumerate, classify and check one share of a sweep's curves."""
+    curves = system.enumerate_curves(max_len, share=share, shares=shares)
     facts = sweep_facts(system.mapdef)
     histogram: dict[tuple[str, int], int] = {}
-    counterexamples: list[str] = []
-    for curve, cls in zip(curves, system.classify(curves, max_steps)):
-        if isinstance(cls, EventuallyTrivial):
-            key = ("trivial", cls.steps)
-        elif isinstance(cls, EntersCycle):
-            key = ("cycle", cls.preperiod)
-        else:
-            key = ("unresolved", 0)
-        histogram[key] = histogram.get(key, 0) + 1
-        for check in facts:
-            problem = check(system, curve, cls)
-            if problem is not None:
-                counterexamples.append(f"{system.format_curve(curve)}: {problem}")
-    return {"curves": curves, "histogram": histogram, "counterexamples": counterexamples}
+    counterexamples: list[tuple[tuple, str]] = []
+    phase, at = 0, None
+
+    def starts():
+        # ``classify`` takes the next start only when the last one's walk is done
+        nonlocal at
+        for at in curves:
+            yield at
+
+    try:
+        classes = system.classify(starts(), max_steps)
+        phase = 1
+        for at, cls in zip(curves, classes):
+            if isinstance(cls, EventuallyTrivial):
+                key = ("trivial", cls.steps)
+            elif isinstance(cls, EntersCycle):
+                key = ("cycle", cls.preperiod)
+            else:
+                key = ("unresolved", 0)
+            histogram[key] = histogram.get(key, 0) + 1
+            for check in facts:
+                problem = check(system, at, cls)
+                if problem is not None:
+                    counterexamples.append((order_key(at), f"{system.format_curve(at)}: {problem}"))
+    except Exception as exc:  # reported by run_sweep, after every share is in
+        return _Tally(len(curves), histogram, counterexamples, ((phase, order_key(at) if at else ()), exc))
+    return _Tally(len(curves), histogram, counterexamples, None)
+
+
+def _fork(reaper: contextlib.ExitStack, work: Callable[[], object]) -> BinaryIO:
+    """Run ``work()`` in a forked child and return the read end of a pipe
+    that carries its pickled result.  However the caller leaves
+    ``reaper``, it closes the pipe, then kills and reaps the child."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:  # the child writes its result and exits, whatever happens
+            try:
+                os.close(r)
+                result = pickle.dumps(work())  # all or nothing reaches the pipe
+                with open(w, "wb") as out:
+                    out.write(result)
+            finally:
+                os._exit(0)
+    except BaseException:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    reaper.callback(os.waitpid, pid, 0)
+    reaper.callback(os.kill, pid, signal.SIGKILL)
+    return reaper.enter_context(open(r, "rb"))
+
+
+def _receive(pipe: BinaryIO) -> _Tally:
+    data = pipe.read()
+    if not data:
+        raise ChildProcessError("a sweep process ended without a result")
+    return pickle.loads(data)
+
+
+def run_sweep(system: PullbackSystem, max_len: int, max_steps: int, jobs: int | None = None) -> dict:
+    """Classify every curve with conjugator length <= max_len; return the
+    curve count, the histogram and the counterexamples found by
+    ``verify.sweep_facts``, in curve order.
+
+    The curves are split into ``_share_count`` shares, disjoint subtrees
+    of the enumeration (``PullbackSystem.enumerate_curves``).  Share 0
+    runs in this process, each other share in a forked child that
+    enumerates, classifies and checks its own curves and sends back its
+    tally.  Counts and histograms add up, and the counterexamples are
+    merged by curve order, so the report is the one-process report.
+
+    If a share raised, the error of the earliest start in curve order
+    is raised, after every child has been reaped.  That is the error
+    one process would raise.  A start's walk raises when it reaches a
+    curve whose pullback raises, and whether it does is not changed by
+    the memo of the walks before it: a pullback depends only on its
+    curve, the memo stores only pullbacks that returned, and a walk
+    stops at a curve with a verdict only when that curve's whole orbit
+    was pulled back without error.  So one process raises at the first
+    start in curve order whose orbit (up to ``max_steps`` curves) meets
+    a failing pullback; each share raises at its own first such start,
+    which is the global first one in the share that holds it.  The same
+    holds for the checks, which run only once a share's classification
+    has finished, so an error while classifying comes before any error
+    while checking.
+    """
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    shares = _share_count(system, max_len, jobs)
+    with contextlib.ExitStack() as reaper:
+        pipes = []
+        if shares > 1:
+            # frozen objects are left alone by a child's collections, so
+            # the pages a child shares with this process stay shared
+            gc.freeze()
+            try:
+                for share in range(1, shares):
+                    pipes.append(_fork(reaper, functools.partial(
+                        _sweep_share, system, max_len, max_steps, share, shares)))
+            finally:
+                gc.unfreeze()
+        tallies = [_sweep_share(system, max_len, max_steps, 0, shares)]
+        tallies += [_receive(pipe) for pipe in pipes]
+    errors = [t.error for t in tallies if t.error is not None]
+    if errors:
+        raise min(errors, key=operator.itemgetter(0))[1]
+    histogram: collections.Counter = collections.Counter()
+    for t in tallies:
+        histogram.update(t.histogram)
+    found = sorted((ce for t in tallies for ce in t.counterexamples), key=operator.itemgetter(0))
+    return {
+        "curve_count": sum(t.count for t in tallies),
+        "histogram": histogram,
+        "counterexamples": [text for _, text in found],
+    }
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     mapdef = load_map(args.map)
     system = PullbackSystem(mapdef)
-    data = run_sweep(system, args.max_len, args.max_steps)
+    data = run_sweep(system, args.max_len, args.max_steps, args.jobs)
     histogram = data["histogram"]
     counterexamples = data["counterexamples"]
     lines = [
         f"map: {mapdef.name}",
-        f"curves with conjugator length <= {args.max_len}: {len(data['curves'])}",
+        f"curves with conjugator length <= {args.max_len}: {data['curve_count']}",
     ]
     hist_json = []
     for (kind, n), count in sorted(histogram.items()):
@@ -181,7 +334,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "map": mapdef.name,
         "inputs": {"max_len": args.max_len, "max_steps": args.max_steps},
         "results": {
-            "curve_count": len(data["curves"]),
+            "curve_count": data["curve_count"],
             "histogram": hist_json,
             "counterexamples": counterexamples,
             "ok": ok,
@@ -287,7 +440,9 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--max-len", type=int, required=True)
     p_sweep.add_argument("--max-steps", type=int, default=1000)
-    p_sweep.add_argument("--jobs", type=int, default=None, help="accepted and ignored; a sweep runs in one process")
+    p_sweep.add_argument("--jobs", type=int, default=None,
+                         help="processes to split the sweep over (default: the CPUs this process may use; "
+                              "never more than those)")
 
     p_spectra = sub.add_parser("spectra", help="leading eigenvalue and exact contraction verdict")
     p_spectra.add_argument("--matrix", help="matrix file: first line n, then n rows of rationals")
@@ -330,6 +485,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--n must be at least 1")
         if args.n > MAX_SECTION_DEPTH:
             parser.error(f"--n must be at most {MAX_SECTION_DEPTH}")
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     if getattr(args, "max_len", 0) < 0:
         parser.error("--max-len must be at least 0")
     if getattr(args, "max_len", 0) > MAX_SWEEP_LENGTH:

@@ -88,6 +88,11 @@ def _lex_key(codes: tuple[int, ...]) -> tuple:
     return (len(codes), tuple((abs(c), c < 0) for c in codes))
 
 
+def order_key(curve: Curve) -> tuple:
+    """The position of a canonical curve in ``enumerate_curves`` order."""
+    return (curve.axis, _lex_key(curve.conjugator.codes))
+
+
 def _power_prefix(codes: tuple[int, ...], block: tuple[int, ...]) -> int:
     """Longest common prefix of a word with block repeated forever."""
     m = len(block)
@@ -351,24 +356,35 @@ class PullbackSystem:
 
     # -- enumeration ---------------------------------------------------------
 
-    def enumerate_curves(self, max_conjugator_length: int) -> list[Curve]:
+    def enumerate_curves(self, max_conjugator_length: int, *, share: int = 0, shares: int = 1) -> list[Curve]:
         """All canonical curves whose conjugator has reduced length at
         most the bound, ordered by axis, then by conjugator length, then
-        by letters in the order x, x^-1, y, y^-1.
+        by letters in the order x, x^-1, y, y^-1 (the order of
+        ``order_key``).
 
         Canonical conjugators are prefix-closed: a prefix agrees with the
         axis powers no further than the whole word does, and a tie is
         decided within the first |axis|/2 letters.  So each length grows
         from the canonical conjugators one letter shorter, keeping the
         canonical children, and every curve appears once and in order.
+
+        ``share`` of ``shares`` keeps a part of that list, in the same
+        order: the curves of length 2, over all axes in order, are dealt
+        round-robin to the shares, each share keeps the subtrees below its
+        curves of length 2, and the curves of length 0 and 1 go to share
+        0.  So the shares are disjoint and together make the whole list.
         """
         if max_conjugator_length < 0:
             raise ValueError("max_conjugator_length must be >= 0")
+        if not 0 <= share < shares:
+            raise ValueError("share must lie in range(shares)")
         out: list[Curve] = []
+        dealt = 0  # curves of length 2 dealt so far, over the axes before
         for axis in range(3):
             layer = [Curve(axis, Word.identity())]
-            out.extend(layer)
-            for _ in range(max_conjugator_length):
+            if share == 0:
+                out.extend(layer)
+            for length in range(1, max_conjugator_length + 1):
                 grown: list[Curve] = []
                 for parent in layer:
                     codes = parent.conjugator.codes
@@ -380,8 +396,11 @@ class PullbackSystem:
                         # canonicalize keeps a canonical word itself
                         if curve.conjugator is child:
                             grown.append(curve)
+                if length == 2:
+                    grown, dealt = grown[(share - dealt) % shares :: shares], dealt + len(grown)
                 layer = grown
-                out.extend(layer)
+                if share == 0 or length >= 2:
+                    out.extend(layer)
         return out
 
     # -- parsing and formatting ----------------------------------------------

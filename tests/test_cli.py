@@ -1,12 +1,14 @@
 import argparse
 import json
+import os
+import threading
 from fractions import Fraction
 
 import pytest
 
 from curvepull import cli, mapdef, spectra
 from curvepull.cli import main
-from curvepull.curves import EntersCycle, OrbitResult, PullbackSystem
+from curvepull.curves import EntersCycle, OrbitResult, PullbackSystem, order_key
 
 RABBIT_TEXT = """\
 map twinrabbit
@@ -290,11 +292,192 @@ def test_sweep_paper_facts_follow_the_map_name(capsys, tmp_path, fixed_map_text)
     assert "expected trivial" not in out
 
 
-def test_sweep_parallel_matches_serial(capsys):
-    code1, doc1 = run_json(capsys, "sweep", "--map", "rabbit", "--max-len", "3", "--jobs", "1")
-    code2, doc2 = run_json(capsys, "sweep", "--map", "rabbit", "--max-len", "3", "--jobs", "2")
-    assert code1 == code2 == 0
-    assert doc1["results"] == doc2["results"]
+# The rabbit's Schreier images pushed through x -> x y x^-1, y -> x: its
+# orbits drift, so a sweep reports many counterexamples, in every share.
+TWISTED_TEXT = """\
+map twisted
+gen x parity 0
+gen y parity 1
+axis z = y^-1 x^-1
+schreier x -> x
+schreier y^-1 x y -> 1
+schreier y y -> y^-1 x^-1
+"""
+
+# The map of test_curves.test_non_twist_image_raises: the pullback of b fails.
+BROKEN_TEXT = """\
+map broken
+gen a parity 1
+gen b parity 0
+axis c = b^-1 a^-1
+schreier a a -> 1
+schreier b -> a a b
+schreier a^-1 b a -> b
+"""
+
+SWEEP_CASES = {
+    "rabbit-8": (["--map", "rabbit", "--max-len", "8"], 0, "sweep: ok"),
+    "dendrite-8": (["--map", "dendrite", "--max-len", "8"], 0, "sweep: ok"),
+    "cut": (["--map", "rabbit", "--max-len", "5", "--max-steps", "2"], 1, "sweep: 518 counterexamples"),
+    "twisted-6": (["--map", "TWISTED", "--max-len", "6"], 1, "sweep: 1806 counterexamples"),
+    "broken": (["--map", "BROKEN", "--max-len", "4"], 2, ""),
+}
+_serial_sweeps: dict = {}
+
+
+@pytest.fixture(scope="module")
+def sweep_maps(tmp_path_factory):
+    d = tmp_path_factory.mktemp("maps")
+    (d / "twisted.map").write_text(TWISTED_TEXT)
+    (d / "broken.map").write_text(BROKEN_TEXT)
+    return {"TWISTED": str(d / "twisted.map"), "BROKEN": str(d / "broken.map")}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Fork calls made by this process; usable CPUs patched to 3, so
+    that ``--jobs`` up to 3 is what a sweep runs."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sweep_outputs(capsys, argv):
+    """(exit code, stdout, stderr) as text, then as JSON without elapsed_s."""
+    out = []
+    for fmt in ("text", "json"):
+        code, stdout, stderr = run(capsys, "sweep", *argv, "--format", fmt)
+        if fmt == "json" and stdout:
+            doc = json.loads(stdout)
+            del doc["elapsed_s"]
+            stdout = doc
+        out.append((code, stdout, stderr))
+        assert_no_child_left()
+    return out
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_sweep_parallel_matches_serial(capsys, sweep_maps, forks, case, jobs):
+    argv, code, last = SWEEP_CASES[case]
+    argv = [sweep_maps.get(a, a) for a in argv]
+    (text_code, text, err), _ = got = sweep_outputs(capsys, [*argv, "--jobs", str(jobs)])
+    assert len(forks) == 2 * (jobs - 1)
+    if case not in _serial_sweeps:
+        _serial_sweeps[case] = got if jobs == 1 else sweep_outputs(capsys, [*argv, "--jobs", "1"])
+    assert got == _serial_sweeps[case]
+    assert text_code == code
+    assert text.rstrip("\n").rsplit("\n", 1)[-1] == last
+    if case == "broken":
+        assert err.startswith("error: pullback of b: ")
+
+
+def test_jobs_is_validated_and_capped_by_the_usable_cpus(capsys, monkeypatch, forks):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--map", "rabbit", "--max-len", "1", "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "error: --jobs must be at least 1\n" in capsys.readouterr().err
+    serial = run(capsys, "sweep", "--map", "rabbit", "--max-len", "4", "--jobs", "1")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert run(capsys, "sweep", "--map", "rabbit", "--max-len", "4", "--jobs", "1000000") == serial
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_share_count_needs_cpus_jobs_length_and_fork(monkeypatch, rabbit_system):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1000)
+    roots = [c for c in rabbit_system.enumerate_curves(2) if len(c.conjugator) == 2]
+    assert cli._share_count(rabbit_system, 8, None) == len(roots) < 1000
+    assert cli._share_count(rabbit_system, 8, 5) == 5
+    assert cli._share_count(rabbit_system, 8, 1) == 1
+    assert cli._share_count(rabbit_system, 1, None) == 1
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert cli._share_count(rabbit_system, 8, 5) == 2
+    # a forked child holds only the forking thread, so no fork beside others
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert cli._share_count(rabbit_system, 8, 5) == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert cli._share_count(rabbit_system, 8, 5) == 1
+
+
+def test_sweep_raises_the_error_of_the_earliest_start(capsys, monkeypatch, rabbit_system):
+    # Two shares of a length-4 sweep: share 1's first curve of length 4
+    # comes before share 0's last curve.  Each share stops at its own
+    # failure; one process would stop at share 1's.
+    share0 = rabbit_system.enumerate_curves(4, share=0, shares=2)
+    share1 = rabbit_system.enumerate_curves(4, share=1, shares=2)
+    early, late = next(c for c in share1 if len(c.conjugator) == 4), share0[-1]
+    assert order_key(early) < order_key(late)
+    pullback = PullbackSystem.pullback
+
+    unpullable = {early, late}
+
+    def failing(self, curve):
+        if self.mapdef.name == "rabbit" and curve in unpullable:
+            raise ValueError(f"no pullback of {self.format_curve(curve)}")
+        return pullback(self, curve)
+
+    monkeypatch.setattr(PullbackSystem, "pullback", failing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    want = f"error: no pullback of {rabbit_system.format_curve(early)}\n"
+    for jobs in ("1", "2"):
+        code, _, err = run(capsys, "sweep", "--map", "rabbit", "--max-len", "4", "--jobs", jobs)
+        assert (code, err) == (2, want)
+        assert_no_child_left()
+    # each share alone raises its own error
+    for share, curve in ((0, late), (1, early)):
+        _, error = cli._sweep_share(rabbit_system, 4, 1000, share, 2).error
+        assert str(error) == f"no pullback of {rabbit_system.format_curve(curve)}"
+    # One process classifies every curve before it checks any, so a
+    # failing check on share 0's first curve loses to share 1's pullback.
+    def failing_check(system, curve, cls):
+        raise ValueError(f"no check of {system.format_curve(curve)}")
+
+    unpullable.remove(late)
+    monkeypatch.setattr(cli, "sweep_facts", lambda mapdef: [failing_check])
+    for jobs in ("1", "2"):
+        code, _, err = run(capsys, "sweep", "--map", "rabbit", "--max-len", "4", "--jobs", jobs)
+        assert (code, err) == (2, want)
+        assert_no_child_left()
+    monkeypatch.setattr(PullbackSystem, "pullback", pullback)
+    for jobs in ("1", "2"):
+        code, _, err = run(capsys, "sweep", "--map", "rabbit", "--max-len", "4", "--jobs", jobs)
+        assert (code, err) == (2, "error: no check of x\n")
+        assert_no_child_left()
+
+
+def test_sweep_process_that_ends_without_a_result_is_a_usage_error(capsys, monkeypatch):
+    share = cli._sweep_share
+
+    def interrupted(system, max_len, max_steps, i, shares):
+        if i:
+            raise KeyboardInterrupt
+        return share(system, max_len, max_steps, i, shares)
+
+    monkeypatch.setattr(cli, "_sweep_share", interrupted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    code, out, err = run(capsys, "sweep", "--map", "rabbit", "--max-len", "3", "--jobs", "2")
+    assert (code, out, err) == (2, "", "error: a sweep process ended without a result\n")
+    assert_no_child_left()
 
 
 def _cycle_text(weights):

@@ -14,6 +14,7 @@ from curvepull.curves import (
     PullbackSystem,
     Unresolved,
     _lex_key,
+    order_key,
 )
 from curvepull.endo import section_conjugators
 from curvepull.mapdef import builtin, parse_mapdef
@@ -424,6 +425,28 @@ def test_enumerate_matches_brute_force(rabbit_system):
 def test_enumerate_l1_count(rabbit_system):
     # 15 raw pairs collapse to 10 canonical curves
     assert len(rabbit_system.enumerate_curves(1)) == 10
+
+
+@pytest.mark.parametrize("name", ["rabbit", "dendrite"])
+def test_enumerate_shares_partition_the_curves_in_order(name, rabbit_system, dendrite_system):
+    system = {"rabbit": rabbit_system, "dendrite": dendrite_system}[name]
+    for length in range(7):
+        full = system.enumerate_curves(length)
+        assert full == sorted(full, key=order_key)
+        for shares in range(1, 5):
+            parts = [system.enumerate_curves(length, share=i, shares=shares) for i in range(shares)]
+            assert sorted((c for part in parts for c in part), key=order_key) == full
+            assert sum(map(len, parts)) == len(full)
+            for i, part in enumerate(parts):
+                assert part == sorted(part, key=order_key)
+                # whole subtrees: a curve of length >= 3 sits in its parent's share
+                short = {c for c in part if len(c.conjugator) == 2}
+                assert all(Curve(c.axis, Word(c.conjugator.codes[:2])) in short
+                           for c in part if len(c.conjugator) >= 3)
+                if i:  # lengths 0 and 1 go to share 0
+                    assert all(len(c.conjugator) >= 2 for c in part)
+    with pytest.raises(ValueError, match="range"):
+        rabbit_system.enumerate_curves(3, share=2, shares=2)
 
 
 def test_non_twist_image_raises():
