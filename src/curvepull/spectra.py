@@ -1,40 +1,49 @@
 """Spectral radius and exact contraction tests for nonnegative rational matrices.
 
-Both read one certified record per irreducible diagonal block of A: its
-cyclic index d, its primitive class product P in integers, and an exact
-Collatz-Wielandt bracket lo <= rho(P) <= hi; rho(A) is the largest
-rho(P)^(1/d).  rho(A) < 1 is decided exactly, by a bracket on one side of
-1 and otherwise by integer elimination.  The leading eigenvalue is exact
-where the bracket closes (lo == hi) and comes from power iteration on a
-balanced P otherwise; an exact integer growth-rate estimator serves as an
-independent oracle for it.
+Both read one certified record per irreducible diagonal block of A, in
+integers from the moment A is read: its cyclic index d, its primitive class
+product P, and an exact Collatz-Wielandt bracket lo <= rho(P) <= hi; rho(A)
+is the largest rho(P)^(1/d).  An exact integer growth-rate estimator serves
+as an independent oracle for the leading eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RationalMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
+    """A square nonnegative matrix of rationals rows[i][j] / dens[i], dens[i]
+    the lcm of row i's denominators; ``RationalMatrix(entries)`` takes rows
+    of Fractions or ints."""
 
-    def __post_init__(self):
-        n = len(self.entries)
-        if n == 0:
+    rows: tuple[tuple[int, ...], ...]
+    dens: tuple[int, ...]
+
+    def __init__(self, entries: Iterable[Iterable[Fraction]]):
+        held = [(row, math.lcm(*[e.denominator for e in row])) for row in map(tuple, entries)]
+        self._hold(tuple(tuple(e.numerator * (q // e.denominator) for e in r) for r, q in held), tuple(q for _, q in held))
+
+    def _hold(self, rows: tuple[tuple[int, ...], ...], dens: tuple[int, ...]) -> RationalMatrix:
+        if not rows:
             raise ValueError("matrix must be nonempty")
-        for i, row in enumerate(self.entries, start=1):
-            if len(row) != n:
+        for i, (row, q) in enumerate(zip(rows, dens), start=1):
+            if len(row) != len(rows):
                 raise ValueError("matrix must be square")
-            for j, e in enumerate(row, start=1):
-                if e.numerator < 0:
-                    raise ValueError(f"row {i}, column {j}: matrix must be nonnegative, got {e}")
+            if min(row) < 0:
+                j = next(j for j, e in enumerate(row) if e < 0)
+                raise ValueError(f"row {i}, column {j + 1}: matrix must be nonnegative, got {Fraction(row[j], q)}")
+        self.__dict__.update(rows=rows, dens=dens)  # a frozen dataclass refuses setattr
+        return self
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
@@ -42,10 +51,14 @@ class RationalMatrix:
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(e, q) for e in row) for row, q in zip(self.rows, self.dens))
 
     def apply(self, v: Sequence[Fraction]) -> list[Fraction]:
-        return [sum(row[j] * v[j] for j in range(self.n)) for row in self.entries]
+        return [Fraction(sum(map(mul, row, v)), q) for row, q in zip(self.rows, self.dens)]
 
     @cached_property
     def _blocks(self) -> tuple[_Block, ...]:
@@ -58,49 +71,48 @@ class RationalMatrix:
         primitive matrix with rho(P) = rho(B)^d, B itself when d = 1 and 1x1
         for a pure cycle (Berman-Plemmons, ch. 2).
         """
-        n = self.n
-        succ = [[(j, e) for j, e in enumerate(row) if e] for row in self.entries]
+        n, rows, dens = self.n, self.rows, self.dens
+        succ = [list(compress(range(n), row)) for row in rows]
         # reach[i]: bitmask of the ends of the paths of length >= 1 from i (Warshall)
-        reach = [sum(1 << j for j, _ in s) for s in succ]
+        reach = [sum(map((1).__lshift__, s)) for s in succ]
         for k in range(n):
             bit, through = 1 << k, reach[k]
             reach = [r | through if r & bit else r for r in reach]
-        out = []
+        out, done = [], 0  # done: bitmask of the vertices of the blocks found
         for i in range(n):
-            # the vertices i reaches that reach i back; empty if i is on no cycle
-            block = [j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1]
-            if block[:1] != [i]:  # no cycle, or i is not the block's first vertex
+            if (done | ~reach[i]) >> i & 1:  # i is in an earlier block, or on no cycle
                 continue
+            block = [j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1]  # i's block; i is its least
+            done |= sum(map((1).__lshift__, block))
             members = set(block)
-            inner = {v: [(j, e) for j, e in succ[v] if j in members] for v in block}
-            level = {i: 0}
-            queue = [i]
+            inner = {v: list(filter(members.__contains__, succ[v])) for v in block}
+            level, queue = {i: 0}, [i]
             for v in queue:
-                for j, _ in inner[v]:
-                    if j not in level:
-                        level[j] = level[v] + 1
-                        queue.append(j)
-            d = math.gcd(*(level[v] + 1 - level[j] for v in block for j, _ in inner[v]))
+                queue += (new := set(inner[v]).difference(level))
+                level.update(dict.fromkeys(new, level[v] + 1))
+            d = math.gcd(*[level[v] + 1 - t for v in block for t in set(map(level.__getitem__, inner[v]))])
             first = [v for v in block if level[v] % d == 0]
-            p = []
+            p, qs = [], []
             for v in first:
-                x = dict(inner[v])  # row v of B, then of B^2, ..., B^d
+                x, q, support = rows[v], dens[v], inner[v]  # row v of B, B^2, ..., B^d: x / q
                 for _ in range(d - 1):
-                    y = {}
-                    for k, c in x.items():
-                        for j, e in inner[k]:
-                            y[j] = y.get(j, 0) + c * e
-                    x = y
-                p.append([x.get(w, 0) for w in first])
-            out.append(_certify(d, p))
+                    l, y = math.lcm(*[dens[k] for k in support]), defaultdict(int)
+                    for k in support:
+                        for j in inner[k]:
+                            y[j] += x[k] * (l // dens[k]) * rows[k][j]
+                    x, q, support = y, q * l, y
+                row = list(map(x.__getitem__, first))
+                g = math.gcd(q, *row)  # the gcd form of row v is the lcm form of its entries
+                p.append(list(map(g.__rfloordiv__, row)))
+                qs.append(q // g)
+            out.append(_certify(d, p, qs))
         return tuple(out)
 
 
 class _Block(NamedTuple):
-    """A block's cyclic index d; its class product P as integer rows over
-    one denominator per row, P[i][j] = rows[i][j] / dens[i] with dens[i]
-    the lcm of row i's denominators; an exact bracket lo <= rho(P) <= hi;
-    the exponents x of P's balancing D = diag(2^x), 0s if lo == hi."""
+    """A block's cyclic index d; its class product P as rows over dens, in the
+    form of ``RationalMatrix``; an exact bracket lo <= rho(P) <= hi; the
+    exponents x of P's balancing D = diag(2^x), 0s if lo == hi."""
 
     d: int
     rows: list[list[int]]
@@ -110,22 +122,20 @@ class _Block(NamedTuple):
     x: list[int]
 
 
-def _certify(d: int, p: list[list[Fraction]]) -> _Block:
+def _certify(d: int, rows: list[list[int]], dens: list[int]) -> _Block:
     """The record of a class product P.  P is irreducible, so for every
     positive v, rho(P) lies between the least and the greatest (Pv)_i / v_i
     (Collatz-Wielandt, Berman-Plemmons, ch. 2), and so does rho(P^T).  The
     bracket intersects those of v all ones on P (the row sums) and on P^T
     (the column sums), and of v = D 1, tried in that order until lo == hi."""
-    dens = [math.lcm(*(e.denominator for e in row)) for row in p]
-    rows = [[e.numerator * (q // e.denominator) for e in row] for row, q in zip(p, dens)]
-    lo, hi = _bracket(rows, dens, [1] * len(p))
+    lo, hi = _bracket(rows, dens, [1] * len(rows))
     if lo < hi:
         # column j of P sums to sum_i rows[i][j] (l / dens[i]) over l
         l = math.lcm(*dens)
         scale = [l // q for q in dens]
         sums = [sum(map(mul, col, scale)) for col in zip(*rows)]
         lo, hi = max(lo, Fraction(min(sums), l)), min(hi, Fraction(max(sums), l))
-    x = _balance(rows, dens) if lo < hi else [0] * len(p)
+    x = _balance(rows, dens) if lo < hi else [0] * len(rows)
     if any(x):
         lo_x, hi_x = _bracket(rows, dens, [1 << e for e in x])
         lo, hi = max(lo, lo_x), min(hi, hi_x)
@@ -136,27 +146,38 @@ def is_contracting(a: RationalMatrix) -> bool:
     """Exact decision of rho(A) < 1: rho(P) < 1 for every P of ``a._blocks``.
 
     A block's bracket [lo, hi] decides True if hi < 1 and False if lo >= 1.
-    One that straddles 1 gets a second bracket, from v the float power
-    iterate after at most n steps (n^3 float products, about what
-    elimination makes on growing integers); it straddles 1 too only when
-    rho(P) is 1 or within about ``DEFAULT_TOL`` of it, or when n steps
-    leave v too coarse.  The exact oracle then decides: for nonnegative P,
-    rho(P) < 1 iff every leading principal minor of the Z-matrix I - P is
-    positive (Berman-Plemmons, Thm 6.2.3).  Row i of I - P times dens[i]
-    keeps each minor's sign, and fraction-free (Bareiss) elimination
-    without pivoting yields those minors as its pivots; the first that is
-    not positive decides False.
+    One that straddles 1 gets more, on P and then on P^T: from v the float
+    power iterate after at most max(n, 50) steps (n^3 float products, about
+    what elimination makes on growing integers; fewer leave a small block's
+    v too coarse), and from the Perron guess, v / min(v) to denominators of
+    at most 10, which closes rho 1 at [1, 1] when the Perron ratios have
+    such denominators (D^-1 S D, S row- or column-stochastic, D over {1, 3}).
+    Any positive v gives a valid bracket.  The exact oracle decides the
+    rest: for nonnegative P, rho(P) < 1 iff every leading principal minor
+    of the Z-matrix I - P is positive (Berman-Plemmons, Thm 6.2.3), the
+    pivots of Bareiss elimination without pivoting on the rows of I - P
+    times dens[i]; the first that is not positive decides False.
     """
     return all(_below_one(b) for b in a._blocks)
 
 
 def _below_one(b: _Block) -> bool:
-    lo, hi = b.lo, b.hi
-    if lo < 1 <= hi:
-        v = _power_iteration(b, DEFAULT_TOL, len(b.rows))[2]
-        if v is not None:
-            lo, hi = _bracket(b.rows, b.dens, v)
-    return _minors_positive(b) if lo < 1 <= hi else hi < 1
+    if not b.lo < 1 <= b.hi:
+        return b.hi < 1
+    # P^T over one denominator, balanced by D^-1 where D balances P
+    l, top = math.lcm(*b.dens), max(b.x)
+    t = [list(col) for col in zip(*[[e * (l // q) for e in row] for row, q in zip(b.rows, b.dens)])]
+    for p in (b, b._replace(rows=t, dens=[l] * len(t), x=[top - e for e in b.x])):
+        v = _power_iteration(p, DEFAULT_TOL, max(len(t), 50))[2]
+        if v is None:
+            continue
+        # the iterate, then the Perron guess: v / min(v) within denominator 10, times lcm(1..10)
+        least = min(v)
+        for w in (v, [int(Fraction(e, least).limit_denominator(10) * 2520) for e in v]):
+            lo, hi = _bracket(p.rows, p.dens, w)
+            if not lo < 1 <= hi:
+                return hi < 1
+    return _minors_positive(b)
 
 
 def _bracket(rows: Sequence[Sequence[int]], dens: Sequence[int], v: Sequence[int]) -> tuple[Fraction, Fraction]:
@@ -313,26 +334,15 @@ class AbelianVirtualEndo:
     def __post_init__(self):
         if self.domain_scale < 1:
             raise ValueError("domain scale must be a positive integer")
-        for row in self.matrix.entries:
-            for e in row:
-                if self.domain_scale % e.denominator:
-                    raise ValueError(f"scale {self.domain_scale} does not clear denominator of {e}")
+        for e in (e for row in self.matrix.entries for e in row if self.domain_scale % e.denominator):
+            raise ValueError(f"scale {self.domain_scale} does not clear denominator of {e}")
 
     @classmethod
-    def from_matrix(
-        cls, matrix: RationalMatrix, domain_scale: int | None = None
-    ) -> "AbelianVirtualEndo":
-        if domain_scale is None:
-            domain_scale = math.lcm(*(e.denominator for row in matrix.entries for e in row))
-        return cls(matrix, domain_scale)
+    def from_matrix(cls, matrix: RationalMatrix, domain_scale: int | None = None) -> "AbelianVirtualEndo":
+        return cls(matrix, math.lcm(*matrix.dens) if domain_scale is None else domain_scale)
 
 
-def contraction_coefficient_estimate(
-    phi: AbelianVirtualEndo,
-    n_steps: int = 40,
-    trials: int = 20,
-    seed: int = 0,
-) -> float:
+def contraction_coefficient_estimate(phi: AbelianVirtualEndo, n_steps: int = 40, trials: int = 20, seed: int = 0) -> float:
     """Growth-rate estimate of rho(phi): max over sample vectors v in
     L*Z^n of (|A^n v| / |v|)^(1/n), computed in exact arithmetic.
 
@@ -342,29 +352,21 @@ def contraction_coefficient_estimate(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    a = phi.matrix
-    n = a.n
-    scale = phi.domain_scale
-    rng = random.Random(seed)
-    vectors = [[scale] * n]
-    for _ in range(max(trials - 1, 0)):
-        vectors.append([scale * rng.randint(1, 9) for _ in range(n)])
+    a, scale, rng = phi.matrix, phi.domain_scale, random.Random(seed)
+    vectors = [[scale] * a.n] + [[scale * rng.randint(1, 9) for _ in range(a.n)] for _ in range(trials - 1)]
     best = 0.0
-    for v0 in vectors:
-        v = [Fraction(x) for x in v0]
-        size0 = sum(abs(x) for x in v)
+    for v in vectors:  # positive, and A is nonnegative: |v| is sum(v)
+        size0 = sum(v)
         for _ in range(n_steps):
             v = a.apply(v)
-        size = sum(abs(x) for x in v)
-        if size == 0:
-            continue
-        best = max(best, float(size / size0) ** (1.0 / n_steps))
+        if size := sum(v):
+            best = max(best, float(size / size0) ** (1.0 / n_steps))
     return best
 
 
-# The largest dimension parse_matrix accepts: a dense primitive block whose
-# rho is 1 with neither its row nor its column sums constant goes to
-# elimination: about 10 s at 200, minutes if rows hold many denominators.
+# The largest dimension parse_matrix accepts: a dense rho-1 block whose Perron
+# ratios need denominators above 10 goes to elimination: 12.5 s at 200 for
+# D^-1 S D, D over {1, 13, 17}, over 7 minutes for D^-1 C D over {13, 17}.
 MAX_MATRIX_DIM = 200
 
 
@@ -384,22 +386,21 @@ def parse_matrix(text: str) -> RationalMatrix:
         raise ValueError(f"dimension {n} is more than the {MAX_MATRIX_DIM} accepted")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows after the dimension, got {len(lines) - 1}")
-    rows = []
-    # each distinct token is parsed once, at its first occurrence, so a
-    # diagnostic still names the first row and column that hold it
-    parsed: dict[str, Fraction] = {}
+    # each token's reduced numerator and denominator (nums, qs), parsed at its first occurrence, which diagnostics name
+    rows, dens, nums, qs = [], [], {}, {}
     for i, line in enumerate(lines[1:], start=1):
         parts = line.split()
         if len(parts) != n:
             raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
-        row = []
-        for j, p in enumerate(parts, start=1):
-            e = parsed.get(p)
-            if e is None:
-                e = parsed[p] = _parse_entry(p, i, j)
-            row.append(e)
-        rows.append(tuple(row))
-    return RationalMatrix(tuple(rows))
+        distinct = set(parts)
+        for j in sorted(map(parts.index, distinct.difference(qs))):
+            nums[parts[j]], qs[parts[j]] = _parse_entry(parts[j], i, j + 1)
+        l = math.lcm(*[qs[p] for p in distinct])
+        scaled = {p: nums[p] * (l // qs[p]) for p in distinct}
+        # lists, not iterators, feed tuples and star arguments: a resized tuple stays on CPython's free list
+        rows.append((*map(scaled.__getitem__, parts),))
+        dens.append(l)
+    return object.__new__(RationalMatrix)._hold(tuple(rows), tuple(dens))
 
 
 # The default limit on int(str) since Python 3.11; checking it here gives
@@ -407,26 +408,25 @@ def parse_matrix(text: str) -> RationalMatrix:
 _MAX_ENTRY_DIGITS = 4300
 
 
-def _parse_entry(p: str, i: int, j: int) -> Fraction:
-    """One matrix entry; a diagnostic names its row i and column j."""
+def _parse_entry(p: str, i: int, j: int) -> tuple[int, int]:
+    """One matrix entry as a reduced (numerator, denominator), through int if it is
+    ASCII p or p/q and through Fraction otherwise; a diagnostic names its row i and column j."""
+    num, slash, den = p.partition("/")
+    if p.isascii() and num.isdigit() and (den.isdigit() or not slash) and len(p) <= _MAX_ENTRY_DIGITS:
+        if q := int(den or 1):  # a zero denominator gets Fraction's diagnostic below
+            g = math.gcd(m := int(num), q)
+            return m // g, q // g
     where = f"row {i}, column {j}"
-    # Fraction builds 10**k for an exponent k, so a few bytes of input
-    # would take unbounded time and memory; no other entry it accepts
-    # has an e in it
+    # Fraction builds 10**k for an exponent k, so a few bytes of input would take
+    # unbounded time and memory; no other entry it accepts has an e in it
     if "e" in p or "E" in p:
-        raise ValueError(
-            f"{where}: {p!r} is not an integer, p/q or decimal"
-            " (exponent notation is not accepted)"
-        )
-    if len(p) > _MAX_ENTRY_DIGITS:
-        digits = sum(map(str.isdigit, p))
-        if digits > _MAX_ENTRY_DIGITS:
-            raise ValueError(
-                f"{where}: entry has {digits} digits, more than the {_MAX_ENTRY_DIGITS} accepted"
-            )
+        raise ValueError(f"{where}: {p!r} is not an integer, p/q or decimal (exponent notation is not accepted)")
+    if len(p) > _MAX_ENTRY_DIGITS and (digits := sum(map(str.isdigit, p))) > _MAX_ENTRY_DIGITS:
+        raise ValueError(f"{where}: entry has {digits} digits, more than the {_MAX_ENTRY_DIGITS} accepted")
     try:
-        return Fraction(p)
+        e = Fraction(p)
     except ValueError:
         raise ValueError(f"{where}: {p!r} is not an integer, p/q or decimal") from None
     except ZeroDivisionError:
         raise ValueError(f"{where}: {p!r} has a zero denominator") from None
+    return e.numerator, e.denominator

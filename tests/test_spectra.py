@@ -322,10 +322,18 @@ def _straddling_rows(rng, n):
     return [[Fraction(3 if i % 2 else 1, 2) * e for e in row] for i, row in enumerate(_stochastic_rows(rng, n, 0))]
 
 
-def _diagonally_similar(rng, rows):
-    """D^-1 A D for a random diagonal D of 1s and 3s: same spectrum, other sums."""
-    d = [rng.choice((1, 3)) for _ in rows]
+def _diagonally_similar(rng, rows, d=None):
+    """D^-1 A D for a diagonal D, by default of random 1s and 3s: same spectrum, other sums."""
+    d = d or [rng.choice((1, 3)) for _ in rows]
     return [[e * d[j] / d[i] for j, e in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _thirteens_and_seventeens(rng, n):
+    """A diagonal over {1, 13, 17} that holds a 13 and a 17, so that the
+    Perron vector D^-1 1 of D^-1 S D has a ratio 17/13."""
+    d = [13, 17] + [rng.choice((1, 13, 17)) for _ in range(n - 2)]
+    rng.shuffle(d)
+    return d
 
 
 def _sum_brackets(b):
@@ -364,8 +372,14 @@ def test_brackets_decide_and_elimination_runs_only_on_straddling_blocks(monkeypa
         "row sums 1/2 and 3/2": lambda n: _permuted(rng, _straddling_rows(rng, n + 3)),
         # rho exactly 1 with unequal row sums: the column sums close the bracket
         "column sums 1": lambda n: [list(col) for col in zip(*_stochastic_rows(rng, n, 0.3))],
-        # rho exactly 1 with neither sum constant: no bracket can decide it
+        # rho exactly 1 with neither sum constant: the Perron guess closes the
+        # bracket at [1, 1], from the right vector D^-1 1 or the left one D 1
         "D^-1 S D": lambda n: _diagonally_similar(rng, _stochastic_rows(rng, n, 0.3)),
+        "D^-1 C D": lambda n: _diagonally_similar(rng, [list(col) for col in zip(*_stochastic_rows(rng, n, 0.3))]),
+        # ratios such as 17/13 defeat both guesses: elimination decides
+        "D^-1 S D, D over {1, 13, 17}": lambda n: _diagonally_similar(
+            rng, _stochastic_rows(rng, n, 0), _thirteens_and_seventeens(rng, n)
+        ),
     }
     eliminated = {}
     calls = _count_elimination(monkeypatch)
@@ -389,7 +403,10 @@ def test_brackets_decide_and_elimination_runs_only_on_straddling_blocks(monkeypa
                 assert lam == high, (name, a)
     assert eliminated["row sums 1/2"] == eliminated["row sums 1"] == eliminated["row sums 3/2"] == 0
     assert eliminated["row sums 1/2 and 3/2"] == eliminated["column sums 1"] == 0
-    assert eliminated["D^-1 S D"] > 0
+    assert eliminated["D^-1 S D"] == eliminated["D^-1 C D"] == 0
+    # a small block's left Perron vector can still have ratios of denominator
+    # at most 10 (1 in 100 here), but the right one never does
+    assert eliminated["D^-1 S D, D over {1, 13, 17}"] >= 95
 
 
 def test_each_block_is_certified_once(monkeypatch):
@@ -417,6 +434,21 @@ def test_is_contracting_decides_a_dense_200x200_block_without_elimination(monkey
     elapsed = time.perf_counter() - t0
     assert verdict is (scale < 1) and calls == []
     assert elapsed < 2.0, f"{elapsed:.2f} s for a dense {n}x{n} matrix"
+
+
+@pytest.mark.parametrize("side", ["row", "column"])
+def test_is_contracting_closes_a_rho_1_similarity_scaled_200x200_block_with_the_perron_guess(monkeypatch, side):
+    # D^-1 S D, S positive and row- or column-stochastic, D over {1, 3}:
+    # elimination took 10 s and more than 300 s before the guess
+    rng = random.Random(43)
+    s = _stochastic_rows(rng, 200, 0)
+    a = RationalMatrix.from_rows(_diagonally_similar(rng, s if side == "row" else [list(col) for col in zip(*s)]))
+    calls = _count_elimination(monkeypatch)
+    t0 = time.perf_counter()
+    verdict = is_contracting(a)
+    elapsed = time.perf_counter() - t0
+    assert verdict is False and calls == []
+    assert elapsed < 2.0, f"{elapsed:.2f} s for a 200x200 D^-1 S D"
 
 
 def test_is_contracting_agrees_with_float(rabbit):
@@ -511,6 +543,161 @@ def test_parse_matrix():
     with pytest.raises(ValueError, match=r"^dimension 201 is more than the 200 accepted$"):
         parse_matrix("201\n" + "0 " * 201 + "\n")
     assert parse_matrix("200\n" + ("0 " * 200 + "\n") * 200).n == 200
+
+
+# Entries next to the integer path of parse_matrix (ASCII p and p/q), and
+# entries on either side of the 4300-digit limit
+NEAR_THE_INTEGER_PATH = [
+    "007", "0/5", "10/4", "+1", "-0", "1_0", "٣/٤", "2²", "2/", "/2", "1/2/3", "0/0", "0.25",
+    "9" * 4300, "9" * 4301, "1/" + "3" * 4298, "1/" + "3" * 4299, "3" * 2151 + "/" + "7" * 2150,
+]
+
+
+def _read_as_fraction(token: str, where: str):
+    """The value parse_matrix gives token at where, or its diagnostic, read off Fraction(token)."""
+    digits = sum(map(str.isdigit, token))
+    if digits > 4300:
+        return f"{where}: entry has {digits} digits, more than the 4300 accepted"
+    try:
+        e = Fraction(token)
+    except ValueError:
+        return f"{where}: {token!r} is not an integer, p/q or decimal"
+    except ZeroDivisionError:
+        return f"{where}: {token!r} has a zero denominator"
+    return e if e >= 0 else f"{where}: matrix must be nonnegative, got {e}"
+
+
+@pytest.mark.parametrize("token", NEAR_THE_INTEGER_PATH, ids=lambda t: t if len(t) < 20 else f"{len(t)}-chars")
+def test_entries_read_as_fraction_reads_them(token):
+    # alone, and in a row with another denominator, where the row's lcm scales it
+    for text, where in ((f"1\n{token}\n", "row 1, column 1"), (f"2\n0 1\n1/3 {token}\n", "row 2, column 2")):
+        want = _read_as_fraction(token, where)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as err:
+                parse_matrix(text)
+            assert str(err.value) == want
+        else:
+            a = parse_matrix(text)
+            assert a.entries[-1][-1] == want and type(a.entries[-1][-1]) is Fraction
+            assert a == RationalMatrix.from_rows([[want]] if a.n == 1 else [[0, 1], [Fraction(1, 3), want]])
+
+
+BAD = "is not an integer, p/q or decimal"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the leftmost bad entry of the first bad row, whatever the order of a set of its tokens
+        ("3\n1 1 1\n1 zz yy\nxx 1 1\n", f"row 2, column 2: 'zz' {BAD}"),
+        ("3\n1 1 1\n1 yy zz\nxx 1 1\n", f"row 2, column 2: 'yy' {BAD}"),
+        ("8\n" + "1 " * 8 + "\n1 h g f e d c b\n" + ("1 " * 8 + "\n") * 6, f"row 2, column 2: 'h' {BAD}"),
+        ("3\n1 1 1\n1 1/0 2/\n1 1 1\n", "row 2, column 2: '1/0' has a zero denominator"),
+        # a token is parsed once, where it first occurs
+        ("2\n1 1/0\n1/0 1\n", "row 1, column 2: '1/0' has a zero denominator"),
+        # a row's length is checked before its entries, after the rows above it
+        ("2\n1 1 1\nfoo 1\n", "row 1 has 3 entries, expected 2"),
+        ("2\nfoo 1\n1\n", f"row 1, column 1: 'foo' {BAD}"),
+        # any syntax error comes before any negative entry
+        ("2\n-1 1\n1 foo\n", f"row 2, column 2: 'foo' {BAD}"),
+        ("2\n1 -1/2\n-3 1\n", "row 1, column 2: matrix must be nonnegative, got -1/2"),
+        ("2\n1 1\n1 -0.5\n", "row 2, column 2: matrix must be nonnegative, got -1/2"),
+    ],
+)
+def test_parse_matrix_reports_the_first_fault(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_matrix(text)
+    assert str(err.value) == message
+
+
+def _spelled(rng, e: Fraction) -> str:
+    """e as a matrix file entry: p/q unreduced, an integer with leading zeros, or a decimal."""
+    k = rng.randint(1, 4)
+    if e.denominator == 1 and rng.random() < 0.5:
+        return "0" * rng.randint(0, 2) + str(e.numerator)
+    if 10**6 % e.denominator == 0 and rng.random() < 0.5:
+        m = e.numerator * (10**6 // e.denominator)
+        return f"{m // 10**6}.{m % 10**6:06d}"
+    return f"{e.numerator * k}/{e.denominator * k}"
+
+
+def test_parse_matrix_equals_from_rows():
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [
+            [Fraction(rng.choice((0, 0, rng.randint(1, 40))), rng.choice((1, 2, 4, 5, 3, 7, 12, 25))) for _ in range(n)]
+            for _ in range(n)
+        ]
+        text = f"{n}\n" + "".join(" ".join(_spelled(rng, e) for e in row) + "\n" for row in rows)
+        a, b = parse_matrix(text), RationalMatrix.from_rows(rows)
+        assert a == b and hash(a) == hash(b) and a.entries == b.entries, text
+        assert RationalMatrix(b.entries) == b and a.apply([1] * n) == [sum(row) for row in rows]
+
+
+def _reference_blocks(a: RationalMatrix) -> tuple:
+    """``a._blocks`` computed on Fraction entries, each class product then
+    brought to integer rows over the lcm of each row's denominators."""
+    n = a.n
+    succ = [[(j, e) for j, e in enumerate(row) if e] for row in a.entries]
+    reach = [sum(1 << j for j, _ in s) for s in succ]
+    for k in range(n):
+        reach = [r | reach[k] if r >> k & 1 else r for r in reach]
+    out = []
+    for i in range(n):
+        block = [j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1]
+        if block[:1] != [i]:
+            continue
+        inner = {v: [(j, e) for j, e in succ[v] if j in block] for v in block}
+        level, queue = {i: 0}, [i]
+        for v in queue:
+            for j, _ in inner[v]:
+                if j not in level:
+                    level[j] = level[v] + 1
+                    queue.append(j)
+        d = math.gcd(*(level[v] + 1 - level[j] for v in block for j, _ in inner[v]))
+        first = [v for v in block if level[v] % d == 0]
+        p = []
+        for v in first:
+            x = dict(inner[v])
+            for _ in range(d - 1):
+                y = {}
+                for k, c in x.items():
+                    for j, e in inner[k]:
+                        y[j] = y.get(j, 0) + c * e
+                x = y
+            p.append([Fraction(x.get(w, 0)) for w in first])
+        dens = [math.lcm(*(e.denominator for e in row)) for row in p]
+        rows = [[e.numerator * (q // e.denominator) for e in row] for row, q in zip(p, dens)]
+        out.append(spectra._certify(d, rows, dens))
+    return tuple(out)
+
+
+def _with_zero_rows(rng, rows):
+    return [[0] * len(row) if rng.random() < 0.3 else row for row in rows]
+
+
+def test_blocks_match_a_fraction_reference():
+    rng = random.Random(42)
+    families = {
+        "random": lambda n: _random_rows(rng, n),
+        "reducible": lambda n: _block_triangular_rows(rng, n),
+        "d-cyclic": lambda n: _cyclic_rows(rng, n // 3),
+        "zero rows": lambda n: _with_zero_rows(rng, _random_rows(rng, n)),
+        "nilpotent": lambda n: _nilpotent_rows(rng, n),
+        "D^-1 S D": lambda n: _diagonally_similar(rng, _stochastic_rows(rng, n, 0.5)),
+    }
+    seen = set()
+    for name, make in families.items():
+        for _ in range(100):
+            a = RationalMatrix.from_rows(make(rng.randint(1, 9)))
+            want = _reference_blocks(a)
+            assert a._blocks == want, (name, a)
+            seen.update((b.d > 1, len(want) > 1, b.lo < b.hi) for b in want)
+    for a in (_two_cyclic(Fraction(10**200)), _weighted_cycle([3] + [Fraction(1, 2)] * 99), RABBIT_CYCLE):
+        assert a._blocks == _reference_blocks(a)
+    # cyclic and primitive blocks, alone and beside others, with open and closed brackets
+    assert len(seen) == 8
 
 
 def test_neumann_series_cross_check():
