@@ -10,11 +10,11 @@ tie-break.  Equality of curves is then equality of fields.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
+from ._record import Record
 from .mapdef import MapDefinition
 from .words import Word, cyclic_reduce, parse_word, primitive_root
 
@@ -46,18 +46,20 @@ class PullbackStep(NamedTuple):
     weight: Fraction
 
 
-@dataclass(frozen=True)
-class EventuallyTrivial:
-    steps: int
+class EventuallyTrivial(Record):
+    __slots__ = _fields = ("steps",)
     kind = "trivial"
 
+    def __init__(self, steps: int):
+        super().__init__(steps)
 
-@dataclass(frozen=True)
-class EntersCycle:
-    preperiod: int
-    cycle: tuple[Curve, ...]
-    cycle_weights: tuple[Fraction, ...]
+
+class EntersCycle(Record):
+    _fields = ("preperiod", "cycle", "cycle_weights")
     kind = "cycle"
+
+    def __init__(self, preperiod: int, cycle: tuple[Curve, ...], cycle_weights: tuple[Fraction, ...]):
+        super().__init__(preperiod, cycle, cycle_weights)
 
     @cached_property
     def weight_product(self) -> Fraction:
@@ -67,17 +69,18 @@ class EntersCycle:
         return out
 
 
-@dataclass(frozen=True)
-class Unresolved:
-    max_steps: int
+class Unresolved(Record):
+    __slots__ = _fields = ("max_steps",)
     kind = "unresolved"
+
+    def __init__(self, max_steps: int):
+        super().__init__(max_steps)
 
 
 Classification = Union[EventuallyTrivial, EntersCycle, Unresolved]
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     start: Curve
     steps: tuple[PullbackStep, ...]
     classification: Classification

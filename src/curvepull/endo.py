@@ -14,24 +14,24 @@ the step table on first use, so it does one lookup per four letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .words import Word, _block_tables, _BlockTable, _transduce, substitute
+from ._record import Record
+from .words import Word, _block_tables, _transduce, substitute
 
 
 class DomainError(ValueError):
     """Raised when a word outside H is fed to the partial endomorphism."""
 
 
-@dataclass(frozen=True)
-class ParityHom:
+class ParityHom(Record):
     """Per-generator parity bits defining H = ker(theta), plus the coset
     representative t (a generator with bit 1)."""
 
-    bits: tuple[int, int]
+    __slots__ = _fields = ("bits",)
 
-    def __post_init__(self):
+    def __init__(self, bits: tuple[int, int]):
+        super().__init__(bits)
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError(f"parity bits must be 0/1, got {self.bits}")
         if self.bits == (0, 0):
@@ -79,8 +79,7 @@ def schreier_basis(parity: ParityHom) -> tuple[Word, ...]:
     return tuple(basis)
 
 
-@dataclass(frozen=True)
-class VirtualEndo:
+class VirtualEndo(Record):
     """The endomorphism psi: H -> F realized as a two-state transducer.
 
     ``steps[state][letter]`` is the pair (output letter codes, state after
@@ -91,12 +90,12 @@ class VirtualEndo:
     per four letters.
     """
 
-    parity: ParityHom
-    steps: tuple[Mapping[int, tuple[tuple[int, ...], int]], ...]
-    blocks: tuple[_BlockTable, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("parity", "steps")
+    __slots__ = (*_fields, "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", _block_tables(self.steps))
+    def __init__(self, parity: ParityHom, steps: tuple[Mapping[int, tuple[tuple[int, ...], int]], ...]):
+        super().__init__(parity, steps)
+        object.__setattr__(self, "blocks", _block_tables(steps))
 
     @classmethod
     def from_images(cls, parity: ParityHom, images: Mapping[Word, Word]) -> "VirtualEndo":

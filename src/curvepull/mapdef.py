@@ -21,8 +21,8 @@ than silently reinterpreted.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import endo
 from .words import Word, WordSyntaxError, cyclic_reduce, format_word, parse_word, primitive_root
@@ -70,8 +70,7 @@ class MapDefError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class MapDefinition:
+class MapDefinition(NamedTuple):
     name: str
     gens: tuple[str, str]
     parity_bits: tuple[int, int]

@@ -12,22 +12,21 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
+from ._record import Record
 
-@dataclass(frozen=True, init=False)
-class RationalMatrix:
+
+class RationalMatrix(Record):
     """A square nonnegative matrix of rationals rows[i][j] / dens[i], dens[i]
     the lcm of row i's denominators; ``RationalMatrix(entries)`` takes rows
     of Fractions or ints."""
 
-    rows: tuple[tuple[int, ...], ...]
-    dens: tuple[int, ...]
+    _fields = ("rows", "dens")
 
     def __init__(self, entries: Iterable[Iterable[Fraction]]):
         held = [(row, math.lcm(*[e.denominator for e in row])) for row in map(tuple, entries)]
@@ -42,8 +41,11 @@ class RationalMatrix:
             if min(row) < 0:
                 j = next(j for j, e in enumerate(row) if e < 0)
                 raise ValueError(f"row {i}, column {j + 1}: matrix must be nonnegative, got {Fraction(row[j], q)}")
-        self.__dict__.update(rows=rows, dens=dens)  # a frozen dataclass refuses setattr
+        Record.__init__(self, rows, dens)
         return self
+
+    def __reduce__(self):
+        return RationalMatrix, (self.entries,)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
@@ -181,9 +183,17 @@ def _below_one(b: _Block) -> bool:
 
 
 def _bracket(rows: Sequence[Sequence[int]], dens: Sequence[int], v: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """The least and the greatest (Pv)_i / v_i for positive integers v."""
-    ratios = [Fraction(sum(map(mul, row, v)), q * w) for row, q, w in zip(rows, dens, v)]
-    return min(ratios), max(ratios)
+    """The least and the greatest (Pv)_i / v_i for positive integers v,
+    compared as integer pairs by cross-multiplying (the denominators
+    are positive), so that only the two extremes become Fractions."""
+    ratios = [(sum(map(mul, row, v)), q * w) for row, q, w in zip(rows, dens, v)]
+    lo = hi = ratios[0]
+    for m, q in ratios:
+        if m * lo[1] < lo[0] * q:
+            lo = m, q
+        elif m * hi[1] > hi[0] * q:
+            hi = m, q
+    return Fraction(*lo), Fraction(*hi)
 
 
 # Gauss-Seidel sweeps _balance makes at most; any D gives a valid bracket,
@@ -324,14 +334,13 @@ def _times_power_of_two(m: int, q: int, s: int) -> float:
     return (m << max(s, 0)) / (q << max(-s, 0))
 
 
-@dataclass(frozen=True)
-class AbelianVirtualEndo:
+class AbelianVirtualEndo(Record):
     """phi: Z^n -> Z^n defined on the sublattice L*Z^n, with matrix A."""
 
-    matrix: RationalMatrix
-    domain_scale: int
+    __slots__ = _fields = ("matrix", "domain_scale")
 
-    def __post_init__(self):
+    def __init__(self, matrix: RationalMatrix, domain_scale: int):
+        super().__init__(matrix, domain_scale)
         if self.domain_scale < 1:
             raise ValueError("domain scale must be a positive integer")
         for e in (e for row in self.matrix.entries for e in row if self.domain_scale % e.denominator):

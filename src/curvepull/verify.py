@@ -11,8 +11,7 @@ map gets which checks, and the checks that apply to every map.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import endo
 from .curves import Classification, Curve, EntersCycle, EventuallyTrivial, PullbackSystem, Unresolved
@@ -65,17 +64,20 @@ class SuiteError(ValueError):
     """Suite requested for a map it does not apply to."""
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     label: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    items: list[CheckItem] = field(default_factory=list)
+    """A suite's checks, appended to ``items`` as they run."""
+
+    __slots__ = ("suite", "items")
+
+    def __init__(self, suite: str, items: list[CheckItem] | None = None):
+        self.suite = suite
+        self.items = [] if items is None else items
 
     @property
     def passed(self) -> int:

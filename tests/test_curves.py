@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -98,7 +97,7 @@ def axis_shape_systems(rabbit_system, dendrite_system, fixed_map_text):
     text = fixed_map_text.replace("axis z = y^-1 x^-1", "axis z = x y x")
     assert text != fixed_map_text
     systems["x y x"] = PullbackSystem(parse_mapdef(text))
-    power = dataclasses.replace(parse_mapdef(fixed_map_text), third_axis=Word((1, 2, 1, 2)))
+    power = parse_mapdef(fixed_map_text)._replace(third_axis=Word((1, 2, 1, 2)))
     systems["x y x y"] = PullbackSystem(power)
     return systems
 

@@ -420,6 +420,20 @@ def test_each_block_is_certified_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_bracket_is_the_least_and_the_greatest_ratio():
+    # cross-multiplied pairs pick the same extremes as Fractions do, ties
+    # and ratios that reduce to one value included
+    rng = random.Random(44)
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, rng.randint(1, 30))) for _ in range(n)] for _ in range(n)]
+        dens = [rng.choice((1, 2, 3, 6, 12)) for _ in range(n)]
+        v = [rng.choice((1, 2, 4, rng.randint(1, 1000))) for _ in range(n)]
+        ratios = [Fraction(sum(e * x for e, x in zip(row, v)), q * w) for row, q, w in zip(rows, dens, v)]
+        assert spectra._bracket(rows, dens, v) == (min(ratios), max(ratios))
+    assert spectra._bracket([[2, 2], [3, 3]], [4, 6], [1, 1]) == (1, 1)
+
+
 @pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2)], ids=["rho-1.2", "rho-0.6"])
 def test_is_contracting_decides_a_dense_200x200_block_without_elimination(monkeypatch, scale):
     # rows of entries k/450, k up to 6 on even rows and up to 3 on odd ones:
