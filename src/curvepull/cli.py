@@ -47,10 +47,9 @@ import threading
 import time
 from typing import BinaryIO, Callable, NamedTuple
 
-from . import spectra
 from .curves import EntersCycle, EventuallyTrivial, PullbackSystem, Unresolved, order_key
 from .mapdef import load_map
-from .verify import MAX_SECTION_DEPTH, SUITES, SuiteError, applies, run_suite, sweep_facts
+from .verify import MAX_SECTION_DEPTH, SUITES, VERDICT_CHECKS, SuiteError, applies, run_suite, sweep_facts
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -188,7 +187,17 @@ class _Tally(NamedTuple):
 
 
 def _sweep_share(system: PullbackSystem, max_len: int, max_steps: int, share: int, shares: int) -> _Tally:
-    """Enumerate, classify and check one share of a sweep's curves."""
+    """Enumerate, classify and check one share of a sweep's curves.
+
+    ``classify`` builds one object per distinct verdict, about 15 in a
+    share of thousands of curves, so the histogram is counted per object
+    and each check in ``verify.VERDICT_CHECKS`` runs once per object, on
+    its first curve.  The curves are walked one by one only for the other
+    checks, which read the curve, and for a verdict whose checks found a
+    problem or raised: there every check runs again in table order, so
+    the counterexamples and the error are those of a check of every
+    curve in turn.
+    """
     curves = system.enumerate_curves(max_len, share=share, shares=shares)
     facts = sweep_facts(system.mapdef)
     histogram: dict[tuple[str, int], int] = {}
@@ -204,18 +213,32 @@ def _sweep_share(system: PullbackSystem, max_len: int, max_steps: int, share: in
     try:
         classes = system.classify(starts(), max_steps)
         phase = 1
-        for at, cls in zip(curves, classes):
+        ids = list(map(id, classes))
+        verdicts = dict(zip(ids, classes))
+        for vid, count in collections.Counter(ids).items():
+            cls = verdicts[vid]
             if isinstance(cls, EventuallyTrivial):
                 key = ("trivial", cls.steps)
             elif isinstance(cls, EntersCycle):
                 key = ("cycle", cls.preperiod)
             else:
                 key = ("unresolved", 0)
-            histogram[key] = histogram.get(key, 0) + 1
-            for check in facts:
-                problem = check(system, at, cls)
-                if problem is not None:
-                    counterexamples.append((order_key(at), f"{system.format_curve(at)}: {problem}"))
+            histogram[key] = histogram.get(key, 0) + count
+        per_curve = [check for check in facts if check not in VERDICT_CHECKS]
+        todo = {}  # verdict id -> the checks to run on each of its curves
+        # reversed, so that each id keeps its first curve
+        for vid, curve in dict(zip(reversed(ids), reversed(curves))).items():
+            try:
+                clean = all(check(system, curve, verdicts[vid]) is None for check in facts if check in VERDICT_CHECKS)
+            except Exception:  # raised again below, at this curve
+                clean = False
+            todo[vid] = per_curve if clean else facts
+        if any(todo.values()):
+            for at, cls, vid in zip(curves, classes, ids):
+                for check in todo[vid]:
+                    problem = check(system, at, cls)
+                    if problem is not None:
+                        counterexamples.append((order_key(at), f"{system.format_curve(at)}: {problem}"))
     except Exception as exc:  # reported by run_sweep, after every share is in
         return _Tally(len(curves), histogram, counterexamples, ((phase, order_key(at) if at else ()), exc))
     return _Tally(len(curves), histogram, counterexamples, None)
@@ -279,24 +302,32 @@ def run_sweep(system: PullbackSystem, max_len: int, max_steps: int, jobs: int | 
     holds for the checks, which run only once a share's classification
     has finished, so an error while classifying comes before any error
     while checking.
+
+    The cyclic garbage collector is off for the whole sweep, in this
+    process and so in each forked child, and the caller's setting is
+    restored after it.  A sweep builds no reference cycles (a collection
+    after a length-8 sweep frees nothing), but it allocates hundreds of
+    thousands of tuples, words and curves, and the collections that they
+    set off took 14-19% of the classification.  In a child a collection
+    would also write to the pages it shares with this process, and so
+    copy them.
     """
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be at least 1")
     shares = _share_count(system, max_len, jobs)
-    with contextlib.ExitStack() as reaper:
-        pipes = []
-        if shares > 1:
-            # frozen objects are left alone by a child's collections, so
-            # the pages a child shares with this process stay shared
-            gc.freeze()
-            try:
-                for share in range(1, shares):
-                    pipes.append(_fork(reaper, functools.partial(
-                        _sweep_share, system, max_len, max_steps, share, shares)))
-            finally:
-                gc.unfreeze()
-        tallies = [_sweep_share(system, max_len, max_steps, 0, shares)]
-        tallies += [_receive(pipe) for pipe in pipes]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with contextlib.ExitStack() as reaper:
+            pipes = [
+                _fork(reaper, functools.partial(_sweep_share, system, max_len, max_steps, share, shares))
+                for share in range(1, shares)
+            ]
+            tallies = [_sweep_share(system, max_len, max_steps, 0, shares)]
+            tallies += [_receive(pipe) for pipe in pipes]
+    finally:
+        if enabled:
+            gc.enable()
     errors = [t.error for t in tallies if t.error is not None]
     if errors:
         raise min(errors, key=operator.itemgetter(0))[1]
@@ -343,6 +374,8 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def cmd_spectra(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from . import spectra  # here, so that no other command compiles it
+
     lines = []
     report_inputs: dict = {"tol": args.tol} if args.matrix else {}
     if args.matrix:
@@ -451,7 +484,7 @@ def _parser() -> argparse.ArgumentParser:
     # no defaults, so that main can tell a --max-steps given with --matrix, or a --tol with --cycle-of
     p_spectra.add_argument("--max-steps", type=int, default=argparse.SUPPRESS, help="orbit cut for --cycle-of (default 1000)")
     p_spectra.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                           help=f"stopping threshold of the --matrix power iteration (default {spectra.DEFAULT_TOL:g})")
+                           help="stopping threshold of the --matrix power iteration (default 1e-10)")
     p_spectra.add_argument("--format", choices=("text", "json"), default="text")
 
     p_info = sub.add_parser("mapinfo", help="show a map definition")
@@ -464,6 +497,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "spectra":
+        from . import spectra
+
         if bool(args.matrix) == bool(args.cycle_of):
             parser.error("spectra needs exactly one of --matrix or --cycle-of")
         if args.cycle_of and not args.map:

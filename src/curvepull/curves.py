@@ -190,10 +190,14 @@ class PullbackSystem:
         letters, if 2r > m; and the lexicographically smaller of the two
         if 2r == m.  If d is 0, the same holds for negative k with u and
         u^-1 swapped.  Both are slices of reduced words, so neither needs
-        a product or a reduction.
+        a product or a reduction.  A w that starts with neither the first
+        letter of u nor that of u^-1 has d = 0 both ways, so q = r = 0
+        and w is canonical.
         """
         codes = conjugator.codes
         block, stream = self._axis_codes[axis]
+        if not codes or codes[0] != block[0] and codes[0] != stream[0]:
+            return Curve(axis, conjugator)
         d = _power_prefix(codes, stream)
         if not d:
             stream, block = block, stream

@@ -28,7 +28,8 @@ class ParityHom(Record):
     """Per-generator parity bits defining H = ker(theta), plus the coset
     representative t (a generator with bit 1)."""
 
-    __slots__ = _fields = ("bits",)
+    _fields = ("bits",)
+    __slots__ = (*_fields, "_even")
 
     def __init__(self, bits: tuple[int, int]):
         super().__init__(bits)
@@ -36,6 +37,8 @@ class ParityHom(Record):
             raise ValueError(f"parity bits must be 0/1, got {self.bits}")
         if self.bits == (0, 0):
             raise ValueError("parity is not surjective onto Z/2")
+        # the letter code of the generator with bit 0, or 0, which no letter is
+        object.__setattr__(self, "_even", self.bits.index(0) + 1 if 0 in self.bits else 0)
 
     @property
     def transversal_gen(self) -> int:
@@ -44,12 +47,8 @@ class ParityHom(Record):
 
     def theta(self, w: Word) -> int:
         """Parity of w: the number of its letters with bit 1, mod 2."""
-        codes = w.codes
-        odd = len(codes)
-        for gen, bit in enumerate(self.bits, start=1):
-            if not bit:
-                odd -= codes.count(gen) + codes.count(-gen)
-        return odd & 1
+        codes, even = w.codes, self._even
+        return (len(codes) - codes.count(even) - codes.count(-even)) & 1
 
 
 def schreier_factor(parity: ParityHom, code: int, state: int) -> Word:

@@ -154,11 +154,14 @@ def is_contracting(a: RationalMatrix) -> bool:
     v too coarse), and from the Perron guess, v / min(v) to denominators of
     at most 10, which closes rho 1 at [1, 1] when the Perron ratios have
     such denominators (D^-1 S D, S row- or column-stochastic, D over {1, 3}).
-    Any positive v gives a valid bracket.  The exact oracle decides the
-    rest: for nonnegative P, rho(P) < 1 iff every leading principal minor
-    of the Z-matrix I - P is positive (Berman-Plemmons, Thm 6.2.3), the
-    pivots of Bareiss elimination without pivoting on the rows of I - P
-    times dens[i]; the first that is not positive decides False.
+    If both sides still straddle 1, the guess to denominators of at most
+    1000 is tried on each (D over {1, 13, 17}).  Any positive v gives a
+    valid bracket, so a guess costs time, never a verdict.  The exact
+    oracle decides the rest: for nonnegative P, rho(P) < 1 iff every
+    leading principal minor of the Z-matrix I - P is positive
+    (Berman-Plemmons, Thm 6.2.3), the pivots of Bareiss elimination
+    without pivoting on the rows of I - P times dens[i]; the first that
+    is not positive decides False.
     """
     return all(_below_one(b) for b in a._blocks)
 
@@ -169,17 +172,30 @@ def _below_one(b: _Block) -> bool:
     # P^T over one denominator, balanced by D^-1 where D balances P
     l, top = math.lcm(*b.dens), max(b.x)
     t = [list(col) for col in zip(*[[e * (l // q) for e in row] for row, q in zip(b.rows, b.dens)])]
+    iterated = []
     for p in (b, b._replace(rows=t, dens=[l] * len(t), x=[top - e for e in b.x])):
         v = _power_iteration(p, DEFAULT_TOL, max(len(t), 50))[2]
         if v is None:
             continue
-        # the iterate, then the Perron guess: v / min(v) within denominator 10, times lcm(1..10)
-        least = min(v)
-        for w in (v, [int(Fraction(e, least).limit_denominator(10) * 2520) for e in v]):
+        iterated.append((p, v))
+        for w in (v, _perron_guess(v, 10)):
             lo, hi = _bracket(p.rows, p.dens, w)
             if not lo < 1 <= hi:
                 return hi < 1
+    for p, v in iterated:
+        lo, hi = _bracket(p.rows, p.dens, _perron_guess(v, 1000))
+        if not lo < 1 <= hi:
+            return hi < 1
     return _minors_positive(b)
+
+
+def _perron_guess(v: Sequence[int], bound: int) -> list[int]:
+    """v / min(v), each ratio rounded to the nearest fraction of
+    denominator at most ``bound``, times the lcm of those denominators."""
+    least = min(v)
+    ratios = [Fraction(e, least).limit_denominator(bound) for e in v]
+    l = math.lcm(*(r.denominator for r in ratios))
+    return [r.numerator * (l // r.denominator) for r in ratios]
 
 
 def _bracket(rows: Sequence[Sequence[int]], dens: Sequence[int], v: Sequence[int]) -> tuple[Fraction, Fraction]:
@@ -374,8 +390,8 @@ def contraction_coefficient_estimate(phi: AbelianVirtualEndo, n_steps: int = 40,
 
 
 # The largest dimension parse_matrix accepts: a dense rho-1 block whose Perron
-# ratios need denominators above 10 goes to elimination: 12.5 s at 200 for
-# D^-1 S D, D over {1, 13, 17}, over 7 minutes for D^-1 C D over {13, 17}.
+# ratios need denominators above 1000 goes to elimination: 12.3 s at 200 for
+# D^-1 S D, D over {1, 1009, 1013} (2-CPU host, Python 3.11).
 MAX_MATRIX_DIM = 200
 
 

@@ -336,6 +336,10 @@ SWEEP_FACTS: dict[str, tuple[tuple[str, ...] | None, SweepCheck]] = {
     "the only cycle is the axis 3-cycle": (("rabbit",), _cycle_is_axes),
 }
 
+# The checks above that read the classification alone, never the curve:
+# a sweep runs each once per distinct classification, not once per curve.
+VERDICT_CHECKS = frozenset((_resolved_unobstructed, _never_cycles, _cycle_is_axes))
+
 
 def sweep_facts(mapdef: MapDefinition) -> list[SweepCheck]:
     """The sweep checks that apply to the map, in table order."""

@@ -197,10 +197,13 @@ def _transduce(codes: tuple[int, ...], tables: Sequence[_BlockTable], state: int
     """The freely reduced output of reading the reduced word ``codes``
     from ``state``, one table lookup per ``_BLOCK`` letters.
 
-    The first ``len(codes) % _BLOCK`` letters are read as one block and
-    the rest in full blocks.  Each block's output is already reduced, so
+    A word of at most ``_BLOCK`` letters is one block.  Otherwise the
+    first ``len(codes) % _BLOCK`` letters are read as one block and the
+    rest in full blocks.  Each block's output is already reduced, so
     letters cancel only where it meets the output so far.
     """
+    if len(codes) <= _BLOCK:
+        return Word(tables[state][codes][0], _reduced=True)
     head = len(codes) % _BLOCK
     out, state, _ = tables[state][codes[:head]]
     stack = [0, *out]  # 0 marks the bottom: no letter cancels it

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import threading
@@ -8,7 +9,7 @@ import pytest
 
 from curvepull import cli, mapdef, spectra
 from curvepull.cli import main
-from curvepull.curves import EntersCycle, OrbitResult, PullbackSystem, order_key
+from curvepull.curves import EntersCycle, OrbitResult, PullbackError, PullbackSystem, order_key
 
 RABBIT_TEXT = """\
 map twinrabbit
@@ -480,6 +481,33 @@ def test_sweep_process_that_ends_without_a_result_is_a_usage_error(capsys, monke
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_sweep_turns_the_gc_off_and_restores_it(sweep_maps, forks, monkeypatch, rabbit_system, enabled):
+    broken = PullbackSystem(mapdef.load_map(sweep_maps["BROKEN"]))
+    during = []
+    share = cli._sweep_share
+
+    def watched(*args):
+        during.append(gc.isenabled())
+        return share(*args)
+
+    monkeypatch.setattr(cli, "_sweep_share", watched)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for jobs in (1, 2):
+            cli.run_sweep(rabbit_system, 4, 1000, jobs)
+            # a share that raises: the broken map's twist table holds a fault
+            with pytest.raises(PullbackError, match="pullback of b"):
+                cli.run_sweep(broken, 4, 1000, jobs)
+            assert_no_child_left()
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False] * 4  # share 0 of each sweep, in this process
+    assert len(forks) == 2
+
+
 def _cycle_text(weights):
     """The matrix file of the cycle i -> i + 1 with weights[i] on that edge."""
     p = len(weights)
@@ -598,6 +626,13 @@ def test_spectra_cycle_of_trivial_orbit(capsys):
     code, _, err = run(capsys, "spectra", "--cycle-of", "a", "--map", "dendrite")
     assert code == 2
     assert "does not enter a cycle" in err
+
+
+def test_spectra_help_states_the_default_tolerance(capsys):
+    # the help spells the default out, so that building the parser does not load spectra
+    with pytest.raises(SystemExit):
+        main(["spectra", "--help"])
+    assert f"(default {spectra.DEFAULT_TOL:g})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_spectra_needs_exactly_one_source(capsys):

@@ -105,6 +105,9 @@ def axis_shape_systems(rabbit_system, dendrite_system, fixed_map_text):
 def test_canonicalize_matches_brute_force(axis_shape_systems):
     rng = random.Random(23)
     for system in axis_shape_systems.values():
+        for conj in reduced_words(6):
+            for axis in range(3):
+                assert system.canonicalize(axis, conj) == brute_canonical(system, axis, conj)
         for _ in range(3_000):
             axis = rng.randrange(3)
             conj = random_reduced(rng, 12)

@@ -83,7 +83,7 @@ def test_parity_validation():
 
 def test_theta_matches_letter_xor():
     rng = random.Random(3)
-    words = [random_reduced(rng, 64) for _ in range(300)]
+    words = [random_reduced(rng, 64) for _ in range(300)] + reduced_words_up_to(8)
     for bits in ((0, 1), (1, 0), (1, 1)):
         parity = ParityHom(bits)
         for w in words:
@@ -196,10 +196,10 @@ def reduced_of_length(rng, n):
 
 def test_block_scan_matches_letter_by_letter_scan(rabbit, dendrite):
     rng = random.Random(21)
-    words = reduced_words_up_to(6)
+    words = reduced_words_up_to(8)  # every word the one-lookup path reads, and then some
     words += [reduced_of_length(rng, n) for n in range(201)]  # every length mod 4
     words += list(section_conjugators(12))
-    assert len(words) == 1457 + 201 + 12
+    assert len(words) == 13121 + 201 + 12
     for mapdef in (rabbit, dendrite):
         psi = mapdef.endomorphism()
         for w in words:

@@ -135,3 +135,18 @@ def test_the_library_import_leaves_out_dataclasses_and_spectra():
 def test_the_cli_import_leaves_out_dataclasses():
     proc = _fresh("import sys, curvepull.cli; print('dataclasses' in sys.modules)")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+CLI_SWEEP = """\
+import contextlib, io, sys
+import curvepull.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = curvepull.cli.main(["sweep", "--map", "rabbit", "--max-len", "3"])
+print(code, sorted({"dataclasses", "curvepull.spectra"} & set(sys.modules)))
+"""
+
+
+def test_a_cli_sweep_leaves_out_dataclasses_and_spectra():
+    # only the spectra command loads spectra
+    proc = _fresh(CLI_SWEEP)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")

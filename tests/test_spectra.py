@@ -328,10 +328,10 @@ def _diagonally_similar(rng, rows, d=None):
     return [[e * d[j] / d[i] for j, e in enumerate(row)] for i, row in enumerate(rows)]
 
 
-def _thirteens_and_seventeens(rng, n):
-    """A diagonal over {1, 13, 17} that holds a 13 and a 17, so that the
-    Perron vector D^-1 1 of D^-1 S D has a ratio 17/13."""
-    d = [13, 17] + [rng.choice((1, 13, 17)) for _ in range(n - 2)]
+def _diagonal_over(rng, n, p, q):
+    """A diagonal over {1, p, q} that holds a p and a q, so that the
+    Perron vector D^-1 1 of D^-1 S D has a ratio q/p."""
+    d = [p, q] + [rng.choice((1, p, q)) for _ in range(n - 2)]
     rng.shuffle(d)
     return d
 
@@ -376,9 +376,13 @@ def test_brackets_decide_and_elimination_runs_only_on_straddling_blocks(monkeypa
         # bracket at [1, 1], from the right vector D^-1 1 or the left one D 1
         "D^-1 S D": lambda n: _diagonally_similar(rng, _stochastic_rows(rng, n, 0.3)),
         "D^-1 C D": lambda n: _diagonally_similar(rng, [list(col) for col in zip(*_stochastic_rows(rng, n, 0.3))]),
-        # ratios such as 17/13 defeat both guesses: elimination decides
+        # ratios such as 17/13 defeat the guess to denominator 10, not the one to 1000
         "D^-1 S D, D over {1, 13, 17}": lambda n: _diagonally_similar(
-            rng, _stochastic_rows(rng, n, 0), _thirteens_and_seventeens(rng, n)
+            rng, _stochastic_rows(rng, n, 0), _diagonal_over(rng, n, 13, 17)
+        ),
+        # ratios such as 1013/1009 defeat every guess: elimination decides
+        "D^-1 S D, D over {1, 1009, 1013}": lambda n: _diagonally_similar(
+            rng, _stochastic_rows(rng, n, 0), _diagonal_over(rng, n, 1009, 1013)
         ),
     }
     eliminated = {}
@@ -403,10 +407,28 @@ def test_brackets_decide_and_elimination_runs_only_on_straddling_blocks(monkeypa
                 assert lam == high, (name, a)
     assert eliminated["row sums 1/2"] == eliminated["row sums 1"] == eliminated["row sums 3/2"] == 0
     assert eliminated["row sums 1/2 and 3/2"] == eliminated["column sums 1"] == 0
-    assert eliminated["D^-1 S D"] == eliminated["D^-1 C D"] == 0
+    assert eliminated["D^-1 S D"] == eliminated["D^-1 C D"] == eliminated["D^-1 S D, D over {1, 13, 17}"] == 0
     # a small block's left Perron vector can still have ratios of denominator
-    # at most 10 (1 in 100 here), but the right one never does
-    assert eliminated["D^-1 S D, D over {1, 13, 17}"] >= 95
+    # at most 1000 (7 in 100 here), but the right one never does
+    assert eliminated["D^-1 S D, D over {1, 1009, 1013}"] >= 90
+
+
+def test_perron_guess_to_denominator_1000_decides_where_10_does_not(monkeypatch):
+    # at n = 40 the guess to denominator 10 straddles 1 on both sides of
+    # each; the right vector D^-1 1, or the left one D 1, has ratios 17/13
+    def no_elimination(b):
+        raise AssertionError("elimination ran")
+
+    monkeypatch.setattr(spectra, "_minors_positive", no_elimination)
+    rng = random.Random(40)
+    n = 40
+    row_similar = _diagonally_similar(rng, _stochastic_rows(rng, n, 0), _diagonal_over(rng, n, 13, 17))
+    columns = [list(col) for col in zip(*_stochastic_rows(rng, n, 0))]
+    column_similar = _diagonally_similar(rng, columns, [rng.choice((13, 17)) for _ in range(n)])
+    for rows in (row_similar, column_similar):
+        a = RationalMatrix.from_rows(rows)
+        assert [(b.lo < 1 <= b.hi) for b in a._blocks] == [True]
+        assert is_contracting(a) is False
 
 
 def test_each_block_is_certified_once(monkeypatch):

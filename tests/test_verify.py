@@ -9,6 +9,7 @@ from curvepull.verify import (
     NUCLEUS_ORDER,
     NUCLEUS_PAIR_TABLE,
     SWEEP_FACTS,
+    VERDICT_CHECKS,
     SuiteError,
     run_suite,
     sweep_facts,
@@ -189,6 +190,26 @@ def test_sweep_facts_flag_what_the_paper_excludes(rabbit_system, dendrite_system
     half = Fraction(1, 2)
     assert axis_cycle(rabbit_system, x, EntersCycle(0, (y, z, x), (half, half, Fraction(1)))) is None
     assert axis_cycle(rabbit_system, x, EntersCycle(0, (x, y), (half, half))) == "unexpected cycle x -> y"
+
+
+def test_verdict_checks_do_not_read_the_curve(rabbit_system, dendrite_system):
+    # a sweep runs these once per classification, on its first curve;
+    # only the 4|w|+3 bound is run curve by curve
+    reads_curve = {check for _, check in SWEEP_FACTS.values()} - VERDICT_CHECKS
+    assert reads_curve == {SWEEP_FACTS["trivial within 4|w|+3 steps"][1]}
+    x, y, z = (Curve(i, Word.identity()) for i in range(3))
+    half = Fraction(1, 2)
+    classes = [
+        Unresolved(4),
+        EventuallyTrivial(40),
+        EntersCycle(0, (y, z, x), (half, half, Fraction(1))),
+        EntersCycle(2, (x, y), (Fraction(2), Fraction(1))),
+    ]
+    far = Curve(2, Word((1, 2, -1, -2, 1), _reduced=True))
+    for system in (rabbit_system, dendrite_system):
+        for check in VERDICT_CHECKS:
+            for cls in classes:
+                assert check(system, x, cls) == check(system, far, cls)
 
 
 def test_trivial_bound_past_the_shortcut_uses_the_geodesic_length(dendrite, dendrite_system):
