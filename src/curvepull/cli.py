@@ -12,11 +12,9 @@ curves triples per letter.  ``--max-steps`` (``orbit``, ``sweep`` and
 ``spectra --cycle-of``) is at most ``MAX_STEPS`` (10,000): an orbit that
 drifts builds conjugators that grow with each step.
 
-``sweep --jobs`` (at least 1; by default the CPUs this process may use)
-splits a sweep into that many shares of the curve tree, never more than
-the usable CPUs: the calling process classifies one share and a forked
-child each other one (see ``run_sweep``).  The report is the same at
-every ``--jobs``.
+``sweep --jobs`` must be at least 1, and changes nothing: a sweep runs
+in the calling process, over merged prefix states of the curve tree
+(see ``run_sweep``).
 
 ``main`` builds its parser once per process, on its first call, and
 reuses it on every later call; it looks up the command's ``cmd_*``
@@ -33,23 +31,16 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
 import functools
 import gc
 import json
 import math
-import operator
-import os
-import pickle
-import signal
 import sys
-import threading
 import time
-from typing import BinaryIO, Callable, NamedTuple
 
-from .curves import EntersCycle, EventuallyTrivial, PullbackSystem, Unresolved, order_key
+from .curves import Classification, Curve, EntersCycle, EventuallyTrivial, PullbackError, PullbackSystem, Unresolved
 from .mapdef import load_map
-from .verify import MAX_SECTION_DEPTH, SUITES, VERDICT_CHECKS, SuiteError, applies, run_suite, sweep_facts
+from .verify import LENGTH_TESTS, MAX_SECTION_DEPTH, SUITES, VERDICT_CHECKS, SuiteError, applies, run_suite, sweep_facts
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -138,142 +129,118 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 # Longest conjugator ``sweep`` accepts: the number of curves triples per
-# letter, and length 10 (196,830 curves on the rabbit) already takes about
-# 1.9-3.5 s and 94 MB per process at the default --jobs, and 3.2-6.3 s and
-# 167 MB at --jobs 1 (2-CPU host, Python 3.11).
+# letter, and the number of merged prefix states grows 2-2.2 fold.  At
+# length 10 (196,830 curves, 21,891 states on the rabbit) a sweep takes
+# about 0.2-0.26 s and 25 MB on the rabbit and 0.09 s and 19 MB on the
+# dendrite, in a fresh process (2-CPU host, Python 3.11).  A sweep that
+# falls back to its curves one by one (see ``run_sweep``) takes about 2 s
+# and 166 MB there.
 MAX_SWEEP_LENGTH = 10
 
 # Most pullback steps ``orbit``, ``sweep`` and ``spectra --cycle-of`` take
-# per orbit.  An orbit that drifts (ROADMAP item 2's twisted rabbit, whose
-# z-orbit moves by x^-1 every 2 steps) costs time and memory quadratic in
-# the steps: ``orbit --curve z`` on it takes 9-12 s and 574 MB at 10,000
-# steps (0.3-0.5 s and 40 MB at 2,000; 2-CPU host, Python 3.11).
+# per orbit.  An orbit that drifts (the twisted rabbit of the tests and the
+# CI, whose z-orbit moves by x^-1 every 2 steps) costs time and memory
+# quadratic in the steps: ``orbit --curve z`` on it takes 9-12 s and 574 MB
+# at 10,000 steps (0.3-0.5 s and 40 MB at 2,000; 2-CPU host, Python 3.11).
 MAX_STEPS = 10_000
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _bucket(cls: Classification) -> tuple[str, int]:
+    """The histogram line of a classification."""
+    if isinstance(cls, EventuallyTrivial):
+        return ("trivial", cls.steps)
+    if isinstance(cls, EntersCycle):
+        return ("cycle", cls.preperiod)
+    return ("unresolved", 0)
 
 
-def _share_count(system: PullbackSystem, max_len: int, jobs: int | None) -> int:
-    """The number of shares a sweep runs in: ``jobs`` (default: the
-    usable CPUs), but never more than the usable CPUs or the non-empty
-    shares, and 1 where this process cannot fork, or should not because
-    another thread runs in it."""
-    cpus = _usable_cpus()
-    k = cpus if jobs is None else min(jobs, cpus)
-    if k < 2 or max_len < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    # each non-empty share holds at least one curve of length 2
-    return min(k, sum(len(c.conjugator) == 2 for c in system.enumerate_curves(2)))
-
-
-class _Tally(NamedTuple):
-    """One share's part of a sweep report.
-
-    Each counterexample is (``order_key`` of its curve, text).  The error
-    is None, or (key, exception) for the exception that stopped the
-    share, with key (0, order key of the start whose walk raised) while
-    classifying and (1, order key of the curve) while checking.
-    """
-
-    count: int
-    histogram: dict[tuple[str, int], int]
-    counterexamples: list[tuple[tuple, str]]
-    error: tuple[tuple, Exception] | None
-
-
-def _sweep_share(system: PullbackSystem, max_len: int, max_steps: int, share: int, shares: int) -> _Tally:
-    """Enumerate, classify and check one share of a sweep's curves.
-
-    ``classify`` builds one object per distinct verdict, about 15 in a
-    share of thousands of curves, so the histogram is counted per object
-    and each check in ``verify.VERDICT_CHECKS`` runs once per object, on
-    its first curve.  The curves are walked one by one only for the other
-    checks, which read the curve, and for a verdict whose checks found a
-    problem or raised: there every check runs again in table order, so
-    the counterexamples and the error are those of a check of every
-    curve in turn.
-    """
-    curves = system.enumerate_curves(max_len, share=share, shares=shares)
+def _sweep_curves(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
+    """The sweep report from the curves themselves: enumerate and
+    classify them, then run every check on every curve, in curve order
+    and table order.  So the first error in that order is raised, and
+    the counterexamples are listed in it."""
+    curves = system.enumerate_curves(max_len)
+    classes = system.classify(curves, max_steps)
     facts = sweep_facts(system.mapdef)
-    histogram: dict[tuple[str, int], int] = {}
-    counterexamples: list[tuple[tuple, str]] = []
-    phase, at = 0, None
+    counterexamples = []
+    for curve, cls in zip(curves, classes):
+        for check in facts:
+            problem = check(system, curve, cls)
+            if problem is not None:
+                counterexamples.append(f"{system.format_curve(curve)}: {problem}")
+    return {
+        "curve_count": len(curves),
+        "histogram": collections.Counter(map(_bucket, classes)),
+        "counterexamples": counterexamples,
+    }
 
-    def starts():
-        # ``classify`` takes the next start only when the last one's walk is done
-        nonlocal at
-        for at in curves:
-            yield at
 
+def _sweep_states(system: PullbackSystem, max_len: int, max_steps: int) -> dict | None:
+    """The sweep report from ``PullbackSystem.prefix_states``, or None
+    where the states cannot vouch for it: a twist-table entry holds a
+    fault, a check finds a problem or raises, or a check that reads the
+    curve has no test on its length (``verify.LENGTH_TESTS``), or fails
+    that test.
+
+    Only the targets are classified, in one walk.  The curves of a state
+    take their target's verdict plus one step (a trivial image gives
+    ``EventuallyTrivial(1)``), unresolved if that needs more than
+    ``max_steps`` pullbacks.  But a curve on a cycle enters it at once:
+    it is the curve before its target on the cycle, so it is found as
+    the last curve of a target's cycle of preperiod 0, and moved to
+    preperiod 0.  Each check in ``verify.VERDICT_CHECKS`` runs once per
+    distinct verdict, given None for the curve, which it never reads;
+    each length test runs once per length and verdict.
+    """
     try:
-        classes = system.classify(starts(), max_steps)
-        phase = 1
-        ids = list(map(id, classes))
-        verdicts = dict(zip(ids, classes))
-        for vid, count in collections.Counter(ids).items():
-            cls = verdicts[vid]
-            if isinstance(cls, EventuallyTrivial):
-                key = ("trivial", cls.steps)
-            elif isinstance(cls, EntersCycle):
-                key = ("cycle", cls.preperiod)
-            else:
-                key = ("unresolved", 0)
-            histogram[key] = histogram.get(key, 0) + count
-        per_curve = [check for check in facts if check not in VERDICT_CHECKS]
-        todo = {}  # verdict id -> the checks to run on each of its curves
-        # reversed, so that each id keeps its first curve
-        for vid, curve in dict(zip(reversed(ids), reversed(curves))).items():
-            try:
-                clean = all(check(system, curve, verdicts[vid]) is None for check in facts if check in VERDICT_CHECKS)
-            except Exception:  # raised again below, at this curve
-                clean = False
-            todo[vid] = per_curve if clean else facts
-        if any(todo.values()):
-            for at, cls, vid in zip(curves, classes, ids):
-                for check in todo[vid]:
-                    problem = check(system, at, cls)
-                    if problem is not None:
-                        counterexamples.append((order_key(at), f"{system.format_curve(at)}: {problem}"))
-    except Exception as exc:  # reported by run_sweep, after every share is in
-        return _Tally(len(curves), histogram, counterexamples, ((phase, order_key(at) if at else ()), exc))
-    return _Tally(len(curves), histogram, counterexamples, None)
+        states = system.prefix_states(max_len)
+    except PullbackError:
+        return None
+    facts = sweep_facts(system.mapdef)
+    verdict_checks = [check for check in facts if check in VERDICT_CHECKS]
+    length_tests = [LENGTH_TESTS.get(check) for check in facts if check not in VERDICT_CHECKS]
+    if None in length_tests:
+        return None
+    cut = Unresolved(max_steps)
 
+    def one_step_before(cls: Classification) -> Classification:
+        if isinstance(cls, EventuallyTrivial) and cls.steps < max_steps:
+            return EventuallyTrivial(cls.steps + 1)
+        if isinstance(cls, EntersCycle) and cls.preperiod + len(cls.cycle) < max_steps:
+            return EntersCycle(cls.preperiod + 1, cls.cycle, cls.cycle_weights)
+        return cut
 
-def _fork(reaper: contextlib.ExitStack, work: Callable[[], object]) -> BinaryIO:
-    """Run ``work()`` in a forked child and return the read end of a pipe
-    that carries its pickled result.  However the caller leaves
-    ``reaper``, it closes the pipe, then kills and reaps the child."""
-    r, w = os.pipe()
+    curves: collections.Counter = collections.Counter()  # (length, target) -> curves
+    for length, target, count in states:
+        curves[length, target] += count
+    targets = list(dict.fromkeys(target for _, target in curves if target is not None))
+    before: dict[Curve | None, Classification] = {None: EventuallyTrivial(1)}  # target -> its curves' verdict
+    made: dict[int, Classification] = {}  # id of a target's verdict -> one step before it
+    found = []  # (length, verdict, curves)
+    for target, cls in zip(targets, system.classify(targets, max_steps)):
+        if id(cls) not in made:
+            made[id(cls)] = one_step_before(cls)
+        before[target] = made[id(cls)]
+        if isinstance(cls, EntersCycle) and not cls.preperiod and len(cls.cycle[-1].conjugator) <= max_len:
+            length = len(cls.cycle[-1].conjugator)
+            curves[length, target] -= 1
+            cycle, weights = cls.cycle, cls.cycle_weights
+            found.append((length, EntersCycle(0, cycle[-1:] + cycle[:-1], weights[-1:] + weights[:-1]), 1))
+    found += [(length, before[target], count) for (length, target), count in curves.items() if count]
+    histogram: collections.Counter = collections.Counter()
+    checked = set()  # ids of the verdicts checked
     try:
-        pid = os.fork()
-        if pid == 0:  # the child writes its result and exits, whatever happens
-            try:
-                os.close(r)
-                result = pickle.dumps(work())  # all or nothing reaches the pipe
-                with open(w, "wb") as out:
-                    out.write(result)
-            finally:
-                os._exit(0)
-    except BaseException:
-        os.close(r)
-        raise
-    finally:
-        os.close(w)
-    reaper.callback(os.waitpid, pid, 0)
-    reaper.callback(os.kill, pid, signal.SIGKILL)
-    return reaper.enter_context(open(r, "rb"))
-
-
-def _receive(pipe: BinaryIO) -> _Tally:
-    data = pipe.read()
-    if not data:
-        raise ChildProcessError("a sweep process ended without a result")
-    return pickle.loads(data)
+        for length, cls, count in found:
+            histogram[_bucket(cls)] += count
+            if id(cls) not in checked:
+                checked.add(id(cls))
+                if any(check(system, None, cls) is not None for check in verdict_checks):
+                    return None
+            if not all(test(length, cls) for test in length_tests):
+                return None
+    except Exception:  # raised again by the curve path, at its curve
+        return None
+    return {"curve_count": sum(count for _, _, count in states), "histogram": histogram, "counterexamples": []}
 
 
 def run_sweep(system: PullbackSystem, max_len: int, max_steps: int, jobs: int | None = None) -> dict:
@@ -281,65 +248,28 @@ def run_sweep(system: PullbackSystem, max_len: int, max_steps: int, jobs: int | 
     curve count, the histogram and the counterexamples found by
     ``verify.sweep_facts``, in curve order.
 
-    The curves are split into ``_share_count`` shares, disjoint subtrees
-    of the enumeration (``PullbackSystem.enumerate_curves``).  Share 0
-    runs in this process, each other share in a forked child that
-    enumerates, classifies and checks its own curves and sends back its
-    tally.  Counts and histograms add up, and the counterexamples are
-    merged by curve order, so the report is the one-process report.
+    The report comes from the merged prefix states (``_sweep_states``)
+    where they vouch for it, and from the curves one by one
+    (``_sweep_curves``) where they do not: then the counterexamples are
+    listed and the first error is raised as a check of every curve in
+    turn finds them.  ``jobs`` (at least 1) is accepted for callers that
+    pass it, and changes nothing: a sweep runs in this process.
 
-    If a share raised, the error of the earliest start in curve order
-    is raised, after every child has been reaped.  That is the error
-    one process would raise.  A start's walk raises when it reaches a
-    curve whose pullback raises, and whether it does is not changed by
-    the memo of the walks before it: a pullback depends only on its
-    curve, the memo stores only pullbacks that returned, and a walk
-    stops at a curve with a verdict only when that curve's whole orbit
-    was pulled back without error.  So one process raises at the first
-    start in curve order whose orbit (up to ``max_steps`` curves) meets
-    a failing pullback; each share raises at its own first such start,
-    which is the global first one in the share that holds it.  The same
-    holds for the checks, which run only once a share's classification
-    has finished, so an error while classifying comes before any error
-    while checking.
-
-    The cyclic garbage collector is off for the whole sweep, in this
-    process and so in each forked child, and the caller's setting is
-    restored after it.  A sweep builds no reference cycles (a collection
-    after a length-8 sweep frees nothing), but it allocates hundreds of
-    thousands of tuples, words and curves, and the collections that they
-    set off took 14-19% of the classification.  In a child a collection
-    would also write to the pages it shares with this process, and so
-    copy them.
+    The cyclic garbage collector is off for the whole sweep, and the
+    caller's setting is restored after it.  A sweep builds no reference
+    cycles, but it allocates tens of thousands of tuples, words and
+    curves, and the collections that they set off took 12-20% of a sweep
+    to length 8 or 10.
     """
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be at least 1")
-    shares = _share_count(system, max_len, jobs)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with contextlib.ExitStack() as reaper:
-            pipes = [
-                _fork(reaper, functools.partial(_sweep_share, system, max_len, max_steps, share, shares))
-                for share in range(1, shares)
-            ]
-            tallies = [_sweep_share(system, max_len, max_steps, 0, shares)]
-            tallies += [_receive(pipe) for pipe in pipes]
+        return _sweep_states(system, max_len, max_steps) or _sweep_curves(system, max_len, max_steps)
     finally:
         if enabled:
             gc.enable()
-    errors = [t.error for t in tallies if t.error is not None]
-    if errors:
-        raise min(errors, key=operator.itemgetter(0))[1]
-    histogram: collections.Counter = collections.Counter()
-    for t in tallies:
-        histogram.update(t.histogram)
-    found = sorted((ce for t in tallies for ce in t.counterexamples), key=operator.itemgetter(0))
-    return {
-        "curve_count": sum(t.count for t in tallies),
-        "histogram": histogram,
-        "counterexamples": [text for _, text in found],
-    }
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[dict, list[str], int]:
@@ -474,8 +404,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-len", type=int, required=True)
     p_sweep.add_argument("--max-steps", type=int, default=1000)
     p_sweep.add_argument("--jobs", type=int, default=None,
-                         help="processes to split the sweep over (default: the CPUs this process may use; "
-                              "never more than those)")
+                         help="accepted for scripts that pass it, at least 1; a sweep runs in one process")
 
     p_spectra = sub.add_parser("spectra", help="leading eigenvalue and exact contraction verdict")
     p_spectra.add_argument("--matrix", help="matrix file: first line n, then n rows of rationals")

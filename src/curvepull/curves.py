@@ -91,11 +91,6 @@ def _lex_key(codes: tuple[int, ...]) -> tuple:
     return (len(codes), tuple((abs(c), c < 0) for c in codes))
 
 
-def order_key(curve: Curve) -> tuple:
-    """The position of a canonical curve in ``enumerate_curves`` order."""
-    return (curve.axis, _lex_key(curve.conjugator.codes))
-
-
 def _power_prefix(codes: tuple[int, ...], block: tuple[int, ...]) -> int:
     """Longest common prefix of a word with block repeated forever."""
     m = len(block)
@@ -363,35 +358,24 @@ class PullbackSystem:
 
     # -- enumeration ---------------------------------------------------------
 
-    def enumerate_curves(self, max_conjugator_length: int, *, share: int = 0, shares: int = 1) -> list[Curve]:
+    def enumerate_curves(self, max_conjugator_length: int) -> list[Curve]:
         """All canonical curves whose conjugator has reduced length at
         most the bound, ordered by axis, then by conjugator length, then
-        by letters in the order x, x^-1, y, y^-1 (the order of
-        ``order_key``).
+        by letters in the order x, x^-1, y, y^-1.
 
         Canonical conjugators are prefix-closed: a prefix agrees with the
         axis powers no further than the whole word does, and a tie is
         decided within the first |axis|/2 letters.  So each length grows
         from the canonical conjugators one letter shorter, keeping the
         canonical children, and every curve appears once and in order.
-
-        ``share`` of ``shares`` keeps a part of that list, in the same
-        order: the curves of length 2, over all axes in order, are dealt
-        round-robin to the shares, each share keeps the subtrees below its
-        curves of length 2, and the curves of length 0 and 1 go to share
-        0.  So the shares are disjoint and together make the whole list.
         """
         if max_conjugator_length < 0:
             raise ValueError("max_conjugator_length must be >= 0")
-        if not 0 <= share < shares:
-            raise ValueError("share must lie in range(shares)")
         out: list[Curve] = []
-        dealt = 0  # curves of length 2 dealt so far, over the axes before
         for axis in range(3):
             layer = [Curve(axis, Word.identity())]
-            if share == 0:
-                out.extend(layer)
-            for length in range(1, max_conjugator_length + 1):
+            out.extend(layer)
+            for _ in range(max_conjugator_length):
                 grown: list[Curve] = []
                 for parent in layer:
                     codes = parent.conjugator.codes
@@ -403,11 +387,91 @@ class PullbackSystem:
                         # canonicalize keeps a canonical word itself
                         if curve.conjugator is child:
                             grown.append(curve)
-                if length == 2:
-                    grown, dealt = grown[(share - dealt) % shares :: shares], dealt + len(grown)
                 layer = grown
-                if share == 0 or length >= 2:
-                    out.extend(layer)
+                out.extend(layer)
+        return out
+
+    def prefix_states(self, max_conjugator_length: int) -> list[tuple[int, Curve | None, int]]:
+        """The curves of ``enumerate_curves``, merged into states of one
+        conjugator length and one pullback target without being listed:
+        one (length, target, number of curves) per state, with target
+        None for a trivial image.
+
+        The pullback of (u, w) reads only theta(w) and the scan of w from
+        the state theta(w) (see ``pullback``).  So for each axis u and
+        final parity s, one walk grows the conjugators a letter at a
+        time, as ``enumerate_curves`` does, and keeps of each prefix p
+        only its key: the state after reading p from s, which is
+        s + theta(p) mod 2; the reduced scan of p from s; its last
+        letter; and p itself while it follows the power stream of u or
+        of u^-1.  Prefixes with equal keys merge into one state, which
+        counts them.  Equal keys have equal futures:
+
+        - The scan of p c from s is the reduced product of the scan of p
+          and that of c from the state after p, and p c is reduced unless
+          c cancels the last letter.  So the key of p c follows from the
+          key of p and from c.
+        - By ``canonicalize``, whether a reduced word is canonical
+          depends only on how far it follows the stream that its first
+          letter starts (u[0] != u^-1[0] for a cyclically reduced u) and,
+          at a tie, on that letter.  A prefix that has left both streams
+          has fixed both, so every reduced extension of a canonical one
+          is canonical.  A prefix on a stream is the only one of its
+          length there, and ``canonicalize`` tests its children.
+        - A prefix in state 0 has theta(p) = s, and every curve of its
+          state has the target read from entry [u][s] and the common scan.
+
+        Raises PullbackError if a twist-table entry holds a fault, whether
+        or not a curve reads it.
+        """
+        if max_conjugator_length < 0:
+            raise ValueError("max_conjugator_length must be >= 0")
+        for row in self._twists:
+            for entry in row:
+                if entry.fault is not None:
+                    raise PullbackError(entry.fault)
+        steps = self.psi.steps
+        out: list[tuple[int, Curve | None, int]] = []
+        for axis in range(3):
+            # the two power streams, as far as the longest conjugator follows them
+            streams = [block * (max_conjugator_length // len(block) + 1) for block in self._axis_codes[axis]]
+            for s in (0, 1):
+                _, target_axis, v, _, _, _ = self._twists[axis][s]
+                targets: dict[tuple[int, ...], Curve] = {}  # scan -> target
+                layer = {(s, (), 0, ()): 1}  # (state, scan, last letter, prefix on a stream) -> curves
+                for length in range(max_conjugator_length + 1):
+                    if length:
+                        heads = (streams[0][:length], streams[1][:length])
+                        grown = {}
+                        for (state, scan, last, prefix), count in layer.items():
+                            for c, (emit, after) in steps[state].items():
+                                if c == -last:
+                                    continue
+                                on = None
+                                if prefix is not None:
+                                    child = Word(prefix + (c,), _reduced=True)
+                                    if self.canonicalize(axis, child).conjugator is not child:
+                                        continue
+                                    if child.codes in heads:
+                                        on = child.codes
+                                if emit and target_axis is not None:  # a trivial image reads no scan
+                                    k = 0
+                                    while k < len(emit) and k < len(scan) and scan[-1 - k] == -emit[k]:
+                                        k += 1
+                                    key = (after, scan[: len(scan) - k] + emit[k:], c, on)
+                                else:
+                                    key = (after, scan, c, on)
+                                grown[key] = grown.get(key, 0) + count
+                        layer = grown
+                    for (state, scan, _, _), count in layer.items():
+                        if state:
+                            continue
+                        target = None
+                        if target_axis is not None:
+                            target = targets.get(scan)
+                            if target is None:
+                                target = targets[scan] = self.canonicalize(target_axis, v * Word(scan, _reduced=True))
+                        out.append((length, target, count))
         return out
 
     # -- parsing and formatting ----------------------------------------------

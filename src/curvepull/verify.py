@@ -299,15 +299,20 @@ def _resolved_unobstructed(system: PullbackSystem, curve: Curve, cls: Classifica
     return None
 
 
+def _trivial_within_length_bound(length: int, cls: Classification) -> bool:
+    """Whether a trivial orbit of a conjugator of this length meets the
+    4|w|+3 bound by its length alone.  A block has at most two letters,
+    so the geodesic length is at least ceil(|w|/2): within the bound
+    from that, the exact one holds too."""
+    return not isinstance(cls, EventuallyTrivial) or cls.steps <= 4 * ((length + 1) // 2) + 3
+
+
 def _trivial_within_bound(system: PullbackSystem, curve: Curve, cls: Classification) -> str | None:
-    if isinstance(cls, EventuallyTrivial):
-        # A block has at most two letters, so the geodesic length is at
-        # least ceil(|w|/2): within that bound, the exact one holds too.
-        if cls.steps <= 4 * ((len(curve.conjugator.codes) + 1) // 2) + 3:
-            return None
-        bound = 4 * geodesic_length(curve.conjugator, [system.mapdef.third_axis]) + 3
-        if cls.steps > bound:
-            return f"trivial after {cls.steps} steps, bound {bound}"
+    if _trivial_within_length_bound(len(curve.conjugator.codes), cls):
+        return None
+    bound = 4 * geodesic_length(curve.conjugator, [system.mapdef.third_axis]) + 3
+    if cls.steps > bound:
+        return f"trivial after {cls.steps} steps, bound {bound}"
     return None
 
 
@@ -339,6 +344,14 @@ SWEEP_FACTS: dict[str, tuple[tuple[str, ...] | None, SweepCheck]] = {
 # The checks above that read the classification alone, never the curve:
 # a sweep runs each once per distinct classification, not once per curve.
 VERDICT_CHECKS = frozenset((_resolved_unobstructed, _never_cycles, _cycle_is_axes))
+
+# The other checks, each with a test on the conjugator's length and the
+# classification that, when it passes, shows the check passes: a sweep of
+# merged prefix states knows a state's length but not its curves, and it
+# checks the curves one by one only where a test fails.
+LENGTH_TESTS: dict[SweepCheck, Callable[[int, Classification], bool]] = {
+    _trivial_within_bound: _trivial_within_length_bound,
+}
 
 
 def sweep_facts(mapdef: MapDefinition) -> list[SweepCheck]:

@@ -1,15 +1,15 @@
 import argparse
+import collections
 import gc
 import json
 import os
-import threading
 from fractions import Fraction
 
 import pytest
 
-from curvepull import cli, mapdef, spectra
+from curvepull import cli, mapdef, spectra, verify
 from curvepull.cli import main
-from curvepull.curves import EntersCycle, OrbitResult, PullbackError, PullbackSystem, order_key
+from curvepull.curves import EntersCycle, OrbitResult, PullbackError, PullbackSystem
 
 RABBIT_TEXT = """\
 map twinrabbit
@@ -294,7 +294,7 @@ def test_sweep_paper_facts_follow_the_map_name(capsys, tmp_path, fixed_map_text)
 
 
 # The rabbit's Schreier images pushed through x -> x y x^-1, y -> x: its
-# orbits drift, so a sweep reports many counterexamples, in every share.
+# orbits drift, so a sweep reports many counterexamples.
 TWISTED_TEXT = """\
 map twisted
 gen x parity 0
@@ -336,8 +336,7 @@ def sweep_maps(tmp_path_factory):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Fork calls made by this process; usable CPUs patched to 3, so
-    that ``--jobs`` up to 3 is what a sweep runs."""
+    """Fork calls made by this process."""
     calls = []
     fork = os.fork
 
@@ -346,13 +345,7 @@ def forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     return calls
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def sweep_outputs(capsys, argv):
@@ -365,147 +358,107 @@ def sweep_outputs(capsys, argv):
             del doc["elapsed_s"]
             stdout = doc
         out.append((code, stdout, stderr))
-        assert_no_child_left()
     return out
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize("case", list(SWEEP_CASES))
 def test_sweep_parallel_matches_serial(capsys, sweep_maps, forks, case, jobs):
+    # --jobs changes nothing, and no sweep forks
     argv, code, last = SWEEP_CASES[case]
     argv = [sweep_maps.get(a, a) for a in argv]
     (text_code, text, err), _ = got = sweep_outputs(capsys, [*argv, "--jobs", str(jobs)])
-    assert len(forks) == 2 * (jobs - 1)
     if case not in _serial_sweeps:
         _serial_sweeps[case] = got if jobs == 1 else sweep_outputs(capsys, [*argv, "--jobs", "1"])
     assert got == _serial_sweeps[case]
+    assert forks == []
     assert text_code == code
     assert text.rstrip("\n").rsplit("\n", 1)[-1] == last
     if case == "broken":
         assert err.startswith("error: pullback of b: ")
 
 
-def test_jobs_is_validated_and_capped_by_the_usable_cpus(capsys, monkeypatch, forks):
+def test_jobs_is_validated_and_capped_by_the_usable_cpus(capsys, forks):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--map", "rabbit", "--max-len", "1", "--jobs", "0"])
     assert exc.value.code == 2
     assert "error: --jobs must be at least 1\n" in capsys.readouterr().err
+    # any --jobs runs one process
     serial = run(capsys, "sweep", "--map", "rabbit", "--max-len", "4", "--jobs", "1")
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     assert run(capsys, "sweep", "--map", "rabbit", "--max-len", "4", "--jobs", "1000000") == serial
-    assert len(forks) == 1
-    assert_no_child_left()
+    assert run(capsys, "sweep", "--map", "rabbit", "--max-len", "4") == serial
+    assert forks == []
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        cli.run_sweep(PullbackSystem(mapdef.builtin("rabbit")), 4, 1000, 0)
 
 
-def test_share_count_needs_cpus_jobs_length_and_fork(monkeypatch, rabbit_system):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1000)
-    roots = [c for c in rabbit_system.enumerate_curves(2) if len(c.conjugator) == 2]
-    assert cli._share_count(rabbit_system, 8, None) == len(roots) < 1000
-    assert cli._share_count(rabbit_system, 8, 5) == 5
-    assert cli._share_count(rabbit_system, 8, 1) == 1
-    assert cli._share_count(rabbit_system, 1, None) == 1
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    assert cli._share_count(rabbit_system, 8, 5) == 2
-    # a forked child holds only the forking thread, so no fork beside others
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        assert cli._share_count(rabbit_system, 8, 5) == 1
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    monkeypatch.delattr(os, "fork")
-    assert cli._share_count(rabbit_system, 8, 5) == 1
+def curve_histogram(system, max_len, max_steps):
+    """The sweep's curve count and histogram, from the curves one by one."""
+    curves = system.enumerate_curves(max_len)
+    return len(curves), collections.Counter(map(cli._bucket, system.classify(curves, max_steps)))
 
 
-def test_sweep_raises_the_error_of_the_earliest_start(capsys, monkeypatch, rabbit_system):
-    # Two shares of a length-4 sweep: share 1's first curve of length 4
-    # comes before share 0's last curve.  Each share stops at its own
-    # failure; one process would stop at share 1's.
-    share0 = rabbit_system.enumerate_curves(4, share=0, shares=2)
-    share1 = rabbit_system.enumerate_curves(4, share=1, shares=2)
-    early, late = next(c for c in share1 if len(c.conjugator) == 4), share0[-1]
-    assert order_key(early) < order_key(late)
-    pullback = PullbackSystem.pullback
-
-    unpullable = {early, late}
-
-    def failing(self, curve):
-        if self.mapdef.name == "rabbit" and curve in unpullable:
-            raise ValueError(f"no pullback of {self.format_curve(curve)}")
-        return pullback(self, curve)
-
-    monkeypatch.setattr(PullbackSystem, "pullback", failing)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    want = f"error: no pullback of {rabbit_system.format_curve(early)}\n"
-    for jobs in ("1", "2"):
-        code, _, err = run(capsys, "sweep", "--map", "rabbit", "--max-len", "4", "--jobs", jobs)
-        assert (code, err) == (2, want)
-        assert_no_child_left()
-    # each share alone raises its own error
-    for share, curve in ((0, late), (1, early)):
-        _, error = cli._sweep_share(rabbit_system, 4, 1000, share, 2).error
-        assert str(error) == f"no pullback of {rabbit_system.format_curve(curve)}"
-    # One process classifies every curve before it checks any, so a
-    # failing check on share 0's first curve loses to share 1's pullback.
-    def failing_check(system, curve, cls):
-        raise ValueError(f"no check of {system.format_curve(curve)}")
-
-    unpullable.remove(late)
-    monkeypatch.setattr(cli, "sweep_facts", lambda mapdef: [failing_check])
-    for jobs in ("1", "2"):
-        code, _, err = run(capsys, "sweep", "--map", "rabbit", "--max-len", "4", "--jobs", jobs)
-        assert (code, err) == (2, want)
-        assert_no_child_left()
-    monkeypatch.setattr(PullbackSystem, "pullback", pullback)
-    for jobs in ("1", "2"):
-        code, _, err = run(capsys, "sweep", "--map", "rabbit", "--max-len", "4", "--jobs", jobs)
-        assert (code, err) == (2, "error: no check of x\n")
-        assert_no_child_left()
+@pytest.mark.parametrize("name", ["rabbit", "dendrite", "fixed", "TWISTED"])
+def test_state_sweep_matches_the_curves(monkeypatch, sweep_maps, fixed_map_text, tmp_path, name):
+    # With no checks, the state sweep always answers: so the verdicts it
+    # derives from the targets', cycles and cut orbits included, are
+    # compared on every input.  On the fixed map every curve is on a cycle.
+    if name == "fixed":
+        (tmp_path / "fixed.map").write_text(fixed_map_text)
+        name = str(tmp_path / "fixed.map")
+    system = PullbackSystem(mapdef.load_map(sweep_maps.get(name, name)))
+    if name in ("rabbit", "dendrite"):  # they hold the paper's facts, so their states vouch for them
+        assert all(cli._sweep_states(system, max_len, 1000) for max_len in range(9))
+    monkeypatch.setattr(cli, "sweep_facts", lambda mapdef: [])
+    for max_len in range(9 if name in ("rabbit", "dendrite") else 7):
+        for max_steps in (1, 2, 3, 5, 1000):
+            report = cli._sweep_states(system, max_len, max_steps)
+            got = report["curve_count"], report["histogram"]
+            assert got == curve_histogram(system, max_len, max_steps), (max_len, max_steps)
 
 
-def test_sweep_process_that_ends_without_a_result_is_a_usage_error(capsys, monkeypatch):
-    share = cli._sweep_share
+def test_a_failed_length_test_falls_back_to_the_curves(capsys, monkeypatch):
+    argv = ("sweep", "--map", "dendrite", "--max-len", "6")
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    enumerated = []
+    enumerate_curves = PullbackSystem.enumerate_curves
 
-    def interrupted(system, max_len, max_steps, i, shares):
-        if i:
-            raise KeyboardInterrupt
-        return share(system, max_len, max_steps, i, shares)
+    def counted(self, max_len):
+        enumerated.append(max_len)
+        return enumerate_curves(self, max_len)
 
-    monkeypatch.setattr(cli, "_sweep_share", interrupted)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    code, out, err = run(capsys, "sweep", "--map", "rabbit", "--max-len", "3", "--jobs", "2")
-    assert (code, out, err) == (2, "", "error: a sweep process ended without a result\n")
-    assert_no_child_left()
+    monkeypatch.setattr(PullbackSystem, "enumerate_curves", counted)
+    assert run(capsys, *argv) == want
+    assert enumerated == []
+    monkeypatch.setitem(verify.LENGTH_TESTS, verify._trivial_within_bound, lambda length, cls: False)
+    assert run(capsys, *argv) == want
+    assert enumerated == [6]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_run_sweep_turns_the_gc_off_and_restores_it(sweep_maps, forks, monkeypatch, rabbit_system, enabled):
+def test_run_sweep_turns_the_gc_off_and_restores_it(sweep_maps, monkeypatch, rabbit_system, enabled):
     broken = PullbackSystem(mapdef.load_map(sweep_maps["BROKEN"]))
     during = []
-    share = cli._sweep_share
+    for name in ("_sweep_states", "_sweep_curves"):
+        path = getattr(cli, name)
 
-    def watched(*args):
-        during.append(gc.isenabled())
-        return share(*args)
+        def watched(*args, path=path):
+            during.append(gc.isenabled())
+            return path(*args)
 
-    monkeypatch.setattr(cli, "_sweep_share", watched)
+        monkeypatch.setattr(cli, name, watched)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        for jobs in (1, 2):
-            cli.run_sweep(rabbit_system, 4, 1000, jobs)
-            # a share that raises: the broken map's twist table holds a fault
-            with pytest.raises(PullbackError, match="pullback of b"):
-                cli.run_sweep(broken, 4, 1000, jobs)
-            assert_no_child_left()
-            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+        cli.run_sweep(rabbit_system, 4, 1000)
+        # the broken map's twist table holds a fault: the curve path raises
+        with pytest.raises(PullbackError, match="pullback of b"):
+            cli.run_sweep(broken, 4, 1000)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
     finally:
         (gc.enable if was else gc.disable)()
-    assert during == [False] * 4  # share 0 of each sweep, in this process
-    assert len(forks) == 2
+    assert during == [False] * 3  # the states of each sweep, then the broken map's curves
 
 
 def _cycle_text(weights):

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from curvepull.curves import (
     PullbackSystem,
     Unresolved,
     _lex_key,
-    order_key,
 )
 from curvepull.endo import section_conjugators
 from curvepull.mapdef import builtin, parse_mapdef
@@ -429,26 +429,34 @@ def test_enumerate_l1_count(rabbit_system):
     assert len(rabbit_system.enumerate_curves(1)) == 10
 
 
-@pytest.mark.parametrize("name", ["rabbit", "dendrite"])
-def test_enumerate_shares_partition_the_curves_in_order(name, rabbit_system, dendrite_system):
-    system = {"rabbit": rabbit_system, "dendrite": dendrite_system}[name]
-    for length in range(7):
-        full = system.enumerate_curves(length)
-        assert full == sorted(full, key=order_key)
-        for shares in range(1, 5):
-            parts = [system.enumerate_curves(length, share=i, shares=shares) for i in range(shares)]
-            assert sorted((c for part in parts for c in part), key=order_key) == full
-            assert sum(map(len, parts)) == len(full)
-            for i, part in enumerate(parts):
-                assert part == sorted(part, key=order_key)
-                # whole subtrees: a curve of length >= 3 sits in its parent's share
-                short = {c for c in part if len(c.conjugator) == 2}
-                assert all(Curve(c.axis, Word(c.conjugator.codes[:2])) in short
-                           for c in part if len(c.conjugator) >= 3)
-                if i:  # lengths 0 and 1 go to share 0
-                    assert all(len(c.conjugator) >= 2 for c in part)
-    with pytest.raises(ValueError, match="range"):
-        rabbit_system.enumerate_curves(3, share=2, shares=2)
+@pytest.mark.parametrize("name", ["rabbit", "dendrite", "x y x"])
+def test_prefix_states_hold_each_curve_once_with_its_target(name, axis_shape_systems):
+    system = axis_shape_systems[name]
+    for max_length in range(7):
+        want = collections.Counter(
+            (len(c.conjugator), system.pullback(c).target) for c in system.enumerate_curves(max_length)
+        )
+        got = collections.Counter()
+        for length, target, count in system.prefix_states(max_length):
+            assert count > 0
+            got[length, target] += count
+        assert got == want
+    with pytest.raises(ValueError):
+        system.prefix_states(-1)
+
+
+def test_prefix_states_raise_on_a_faulty_twist_entry(axis_shape_systems):
+    # the proper power x y x y is no axis word, so the z entries hold faults
+    with pytest.raises(PullbackError, match="primitive root x y is not conjugate to an axis"):
+        axis_shape_systems["x y x y"].prefix_states(0)
+
+
+@pytest.mark.parametrize("name, max_length, states", [
+    ("rabbit", 8, 4707), ("rabbit", 10, 21891), ("dendrite", 8, 2230), ("dendrite", 10, 8950),
+])
+def test_prefix_states_merge_the_curves(name, max_length, states, axis_shape_systems):
+    # 21,870 curves at length 8 and 196,830 at length 10 on both maps
+    assert len(axis_shape_systems[name].prefix_states(max_length)) == states
 
 
 def test_non_twist_image_raises():

@@ -6,6 +6,7 @@ from curvepull.curves import Curve, EntersCycle, EventuallyTrivial, Unresolved
 from curvepull.endo import DomainError, VirtualEndo, section_conjugators
 from curvepull.mapdef import BUILTIN_TEXTS, builtin, parse_mapdef
 from curvepull.verify import (
+    LENGTH_TESTS,
     NUCLEUS_ORDER,
     NUCLEUS_PAIR_TABLE,
     SWEEP_FACTS,
@@ -196,7 +197,7 @@ def test_verdict_checks_do_not_read_the_curve(rabbit_system, dendrite_system):
     # a sweep runs these once per classification, on its first curve;
     # only the 4|w|+3 bound is run curve by curve
     reads_curve = {check for _, check in SWEEP_FACTS.values()} - VERDICT_CHECKS
-    assert reads_curve == {SWEEP_FACTS["trivial within 4|w|+3 steps"][1]}
+    assert reads_curve == {SWEEP_FACTS["trivial within 4|w|+3 steps"][1]} == set(LENGTH_TESTS)
     x, y, z = (Curve(i, Word.identity()) for i in range(3))
     half = Fraction(1, 2)
     classes = [
@@ -222,3 +223,7 @@ def test_trivial_bound_past_the_shortcut_uses_the_geodesic_length(dendrite, dend
         for steps in (11, 12, 15):
             assert bound(dendrite_system, curve, EventuallyTrivial(steps)) is None
         assert bound(dendrite_system, curve, EventuallyTrivial(16)) == "trivial after 16 steps, bound 15"
+        # a sweep of prefix states tests the shortcut alone
+        by_length = LENGTH_TESTS[bound]
+        assert [by_length(len(curve.conjugator), EventuallyTrivial(steps)) for steps in (11, 12)] == [True, False]
+        assert by_length(len(curve.conjugator), EntersCycle(40, (curve,), (Fraction(1, 2),)))
