@@ -12,9 +12,9 @@ curves triples per letter.  ``--max-steps`` (``orbit``, ``sweep`` and
 ``spectra --cycle-of``) is at most ``MAX_STEPS`` (10,000): an orbit that
 drifts builds conjugators that grow with each step.
 
-``sweep --jobs`` must be at least 1, and changes nothing: a sweep runs
-in the calling process, over merged prefix states of the curve tree
-(see ``run_sweep``).
+``sweep --jobs`` is parsed and must be at least 1, for scripts that
+pass it; nothing reads it: a sweep runs in the calling process, over
+merged prefix states of the curve tree (see ``run_sweep``).
 
 ``main`` builds its parser once per process, on its first call, and
 reuses it on every later call; it looks up the command's ``cmd_*``
@@ -179,8 +179,8 @@ def _sweep_states(system: PullbackSystem, max_len: int, max_steps: int) -> dict 
     """The sweep report from ``PullbackSystem.prefix_states``, or None
     where the states cannot vouch for it: a twist-table entry holds a
     fault, a check finds a problem or raises, or a check that reads the
-    curve has no test on its length (``verify.LENGTH_TESTS``), or fails
-    that test.
+    curve fails its test on the length (``verify.LENGTH_TESTS`` holds one
+    for every such check).
 
     Only the targets are classified, in one walk.  The curves of a state
     take their target's verdict plus one step (a trivial image gives
@@ -198,9 +198,7 @@ def _sweep_states(system: PullbackSystem, max_len: int, max_steps: int) -> dict 
         return None
     facts = sweep_facts(system.mapdef)
     verdict_checks = [check for check in facts if check in VERDICT_CHECKS]
-    length_tests = [LENGTH_TESTS.get(check) for check in facts if check not in VERDICT_CHECKS]
-    if None in length_tests:
-        return None
+    length_tests = [LENGTH_TESTS[check] for check in facts if check not in VERDICT_CHECKS]
     cut = Unresolved(max_steps)
 
     def one_step_before(cls: Classification) -> Classification:
@@ -243,7 +241,7 @@ def _sweep_states(system: PullbackSystem, max_len: int, max_steps: int) -> dict 
     return {"curve_count": sum(count for _, _, count in states), "histogram": histogram, "counterexamples": []}
 
 
-def run_sweep(system: PullbackSystem, max_len: int, max_steps: int, jobs: int | None = None) -> dict:
+def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
     """Classify every curve with conjugator length <= max_len; return the
     curve count, the histogram and the counterexamples found by
     ``verify.sweep_facts``, in curve order.
@@ -252,8 +250,7 @@ def run_sweep(system: PullbackSystem, max_len: int, max_steps: int, jobs: int | 
     where they vouch for it, and from the curves one by one
     (``_sweep_curves``) where they do not: then the counterexamples are
     listed and the first error is raised as a check of every curve in
-    turn finds them.  ``jobs`` (at least 1) is accepted for callers that
-    pass it, and changes nothing: a sweep runs in this process.
+    turn finds them.  A sweep runs in this process.
 
     The cyclic garbage collector is off for the whole sweep, and the
     caller's setting is restored after it.  A sweep builds no reference
@@ -261,8 +258,6 @@ def run_sweep(system: PullbackSystem, max_len: int, max_steps: int, jobs: int | 
     curves, and the collections that they set off took 12-20% of a sweep
     to length 8 or 10.
     """
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be at least 1")
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -275,7 +270,7 @@ def run_sweep(system: PullbackSystem, max_len: int, max_steps: int, jobs: int | 
 def cmd_sweep(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     mapdef = load_map(args.map)
     system = PullbackSystem(mapdef)
-    data = run_sweep(system, args.max_len, args.max_steps, args.jobs)
+    data = run_sweep(system, args.max_len, args.max_steps)
     histogram = data["histogram"]
     counterexamples = data["counterexamples"]
     lines = [

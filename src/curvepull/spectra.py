@@ -2,9 +2,10 @@
 
 Both read one certified record per irreducible diagonal block of A, in
 integers from the moment A is read: its cyclic index d, its primitive class
-product P, and an exact Collatz-Wielandt bracket lo <= rho(P) <= hi; rho(A)
-is the largest rho(P)^(1/d).  An exact integer growth-rate estimator serves
-as an independent oracle for the leading eigenvalue.
+product P, and an exact Collatz-Wielandt bracket lo <= rho(P) <= hi,
+narrowed once, by ``_certify``; rho(A) is the largest rho(P)^(1/d).  An
+exact integer growth-rate estimator serves as an independent oracle for
+the leading eigenvalue.
 """
 
 from __future__ import annotations
@@ -16,23 +17,19 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._record import Record
 
 
 class RationalMatrix(Record):
     """A square nonnegative matrix of rationals rows[i][j] / dens[i], dens[i]
-    the lcm of row i's denominators; ``RationalMatrix(entries)`` takes rows
-    of Fractions or ints."""
+    the lcm of row i's denominators; ``from_rows`` takes rows of Fractions
+    or ints."""
 
     _fields = ("rows", "dens")
 
-    def __init__(self, entries: Iterable[Iterable[Fraction]]):
-        held = [(row, math.lcm(*[e.denominator for e in row])) for row in map(tuple, entries)]
-        self._hold(tuple(tuple(e.numerator * (q // e.denominator) for e in r) for r, q in held), tuple(q for _, q in held))
-
-    def _hold(self, rows: tuple[tuple[int, ...], ...], dens: tuple[int, ...]) -> RationalMatrix:
+    def __init__(self, rows: tuple[tuple[int, ...], ...], dens: tuple[int, ...]):
         if not rows:
             raise ValueError("matrix must be nonempty")
         for i, (row, q) in enumerate(zip(rows, dens), start=1):
@@ -41,15 +38,12 @@ class RationalMatrix(Record):
             if min(row) < 0:
                 j = next(j for j, e in enumerate(row) if e < 0)
                 raise ValueError(f"row {i}, column {j + 1}: matrix must be nonnegative, got {Fraction(row[j], q)}")
-        Record.__init__(self, rows, dens)
-        return self
-
-    def __reduce__(self):
-        return RationalMatrix, (self.entries,)
+        super().__init__(rows, dens)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(e) for e in row) for row in rows))
+        held = [(row, math.lcm(*[e.denominator for e in row])) for row in (tuple(map(Fraction, r)) for r in rows)]
+        return cls(tuple(tuple(e.numerator * (q // e.denominator) for e in r) for r, q in held), tuple(q for _, q in held))
 
     @property
     def n(self) -> int:
@@ -113,8 +107,9 @@ class RationalMatrix(Record):
 
 class _Block(NamedTuple):
     """A block's cyclic index d; its class product P as rows over dens, in the
-    form of ``RationalMatrix``; an exact bracket lo <= rho(P) <= hi; the
-    exponents x of P's balancing D = diag(2^x), 0s if lo == hi."""
+    form of ``RationalMatrix``; the exact bracket lo <= rho(P) <= hi of
+    ``_certify``; the exponents x of P's balancing D = diag(2^x), 0s if the
+    row or column sums close the bracket."""
 
     d: int
     rows: list[list[int]]
@@ -125,68 +120,71 @@ class _Block(NamedTuple):
 
 
 def _certify(d: int, rows: list[list[int]], dens: list[int]) -> _Block:
-    """The record of a class product P.  P is irreducible, so for every
-    positive v, rho(P) lies between the least and the greatest (Pv)_i / v_i
-    (Collatz-Wielandt, Berman-Plemmons, ch. 2), and so does rho(P^T).  The
-    bracket intersects those of v all ones on P (the row sums) and on P^T
-    (the column sums), and of v = D 1, tried in that order until lo == hi."""
-    lo, hi = _bracket(rows, dens, [1] * len(rows))
+    """The record of a class product P, the only place its bracket narrows.
+
+    P is irreducible, so for every positive v, rho(P) lies between the
+    least and the greatest (Pv)_i / v_i (Collatz-Wielandt, Berman-Plemmons,
+    ch. 2), and so does rho(P^T).  The bracket intersects those of v all
+    ones on P (the row sums) and on P^T (the column sums), and of v = D 1,
+    tried in that order until lo == hi.  One that still holds 1 (lo < 1 <=
+    hi) is narrowed on until 1 lies outside it, on P and then on P^T:
+    from v the float power iterate after at most max(n, 50) steps (n^3
+    float products, about what elimination makes on growing integers;
+    fewer leave a small block's v too coarse), and from the Perron guess,
+    v / min(v) to denominators of at most 10, which closes rho 1 at [1, 1]
+    when the Perron ratios have such denominators (D^-1 S D, S row- or
+    column-stochastic, D over {1, 3}).  Then the guess to denominators of
+    at most 1000 is tried on each side (D over {1, 13, 17}).  P^T's
+    iterate runs only if P's vectors leave 1 inside.  Any positive v gives
+    a valid bracket, so a guess costs time, never a verdict.
+    """
+    n = len(rows)
+    lo, hi = _bracket(rows, dens, [1] * n)
     if lo < hi:
-        # column j of P sums to sum_i rows[i][j] (l / dens[i]) over l
+        # P^T over one denominator l: its row j, column j of P, sums to sum_i rows[i][j] (l / dens[i])
         l = math.lcm(*dens)
-        scale = [l // q for q in dens]
-        sums = [sum(map(mul, col, scale)) for col in zip(*rows)]
+        t = [list(col) for col in zip(*[[e * (l // q) for e in row] for row, q in zip(rows, dens)])]
+        sums = list(map(sum, t))
         lo, hi = max(lo, Fraction(min(sums), l)), min(hi, Fraction(max(sums), l))
-    x = _balance(rows, dens) if lo < hi else [0] * len(rows)
+    x = _balance(rows, dens) if lo < hi else [0] * n
     if any(x):
         lo_x, hi_x = _bracket(rows, dens, [1 << e for e in x])
         lo, hi = max(lo, lo_x), min(hi, hi_x)
+    if lo < 1 <= hi:
+        # lo < hi after the row sums, so P^T is built; D^-1 balances it where D balances P
+        sides = _Block(d, rows, dens, lo, hi, x), _Block(d, t, [l] * n, lo, hi, [max(x) - e for e in x])
+        for p, v in _ladder(sides, max(n, 50)):
+            lo_v, hi_v = _bracket(p.rows, p.dens, v)
+            lo, hi = max(lo, lo_v), min(hi, hi_v)
+            if not lo < 1 <= hi:
+                break
     return _Block(d, rows, dens, lo, hi, x)
+
+
+def _ladder(sides: Sequence[_Block], steps: int) -> Iterator[tuple[_Block, list[int]]]:
+    """``_certify``'s (side, v) pairs in order, each computed only when asked for."""
+    iterates = []
+    for p in sides:
+        v = _power_iteration(p, DEFAULT_TOL, steps)[2]
+        if v is not None:
+            iterates.append((p, v))
+            yield p, v
+            yield p, _perron_guess(v, 10)
+    for p, v in iterates:
+        yield p, _perron_guess(v, 1000)
 
 
 def is_contracting(a: RationalMatrix) -> bool:
     """Exact decision of rho(A) < 1: rho(P) < 1 for every P of ``a._blocks``.
 
     A block's bracket [lo, hi] decides True if hi < 1 and False if lo >= 1.
-    One that straddles 1 gets more, on P and then on P^T: from v the float
-    power iterate after at most max(n, 50) steps (n^3 float products, about
-    what elimination makes on growing integers; fewer leave a small block's
-    v too coarse), and from the Perron guess, v / min(v) to denominators of
-    at most 10, which closes rho 1 at [1, 1] when the Perron ratios have
-    such denominators (D^-1 S D, S row- or column-stochastic, D over {1, 3}).
-    If both sides still straddle 1, the guess to denominators of at most
-    1000 is tried on each (D over {1, 13, 17}).  Any positive v gives a
-    valid bracket, so a guess costs time, never a verdict.  The exact
-    oracle decides the rest: for nonnegative P, rho(P) < 1 iff every
-    leading principal minor of the Z-matrix I - P is positive
-    (Berman-Plemmons, Thm 6.2.3), the pivots of Bareiss elimination
-    without pivoting on the rows of I - P times dens[i]; the first that
-    is not positive decides False.
+    The exact oracle decides a block whose bracket still holds 1: for
+    nonnegative P, rho(P) < 1 iff every leading principal minor of the
+    Z-matrix I - P is positive (Berman-Plemmons, Thm 6.2.3), the pivots of
+    Bareiss elimination without pivoting on the rows of I - P times
+    dens[i]; the first that is not positive decides False.
     """
-    return all(_below_one(b) for b in a._blocks)
-
-
-def _below_one(b: _Block) -> bool:
-    if not b.lo < 1 <= b.hi:
-        return b.hi < 1
-    # P^T over one denominator, balanced by D^-1 where D balances P
-    l, top = math.lcm(*b.dens), max(b.x)
-    t = [list(col) for col in zip(*[[e * (l // q) for e in row] for row, q in zip(b.rows, b.dens)])]
-    iterated = []
-    for p in (b, b._replace(rows=t, dens=[l] * len(t), x=[top - e for e in b.x])):
-        v = _power_iteration(p, DEFAULT_TOL, max(len(t), 50))[2]
-        if v is None:
-            continue
-        iterated.append((p, v))
-        for w in (v, _perron_guess(v, 10)):
-            lo, hi = _bracket(p.rows, p.dens, w)
-            if not lo < 1 <= hi:
-                return hi < 1
-    for p, v in iterated:
-        lo, hi = _bracket(p.rows, p.dens, _perron_guess(v, 1000))
-        if not lo < 1 <= hi:
-            return hi < 1
-    return _minors_positive(b)
+    return all(_minors_positive(b) if b.lo < 1 <= b.hi else b.hi < 1 for b in a._blocks)
 
 
 def _perron_guess(v: Sequence[int], bound: int) -> list[int]:
@@ -286,9 +284,10 @@ def leading_eigenvalue(a: RationalMatrix, tol: float = DEFAULT_TOL) -> float:
     """Spectral radius: the largest rho(P)^(1/d) over ``a._blocks``, 0.0 if none.
 
     Where a block's bracket closes (lo == hi), as for a 1x1 P (a cycle), for
-    constant row or column sums and for a P that D 1 balances exactly, it
-    is ``cycle_radius(lo, d)``.  Otherwise P is primitive, so unshifted
-    power iteration on the balanced D^-1 P D from the uniform vector
+    constant row or column sums, for a P that D 1 balances exactly and for
+    one whose rho 1 a Perron guess of ``_certify`` closes at [1, 1], it is
+    ``cycle_radius(lo, d)``.  Otherwise P is primitive, so unshifted power
+    iteration on the balanced D^-1 P D from the uniform vector
     converges; iterates v are L1-normalized, the estimate is |P v|_1, and
     ``tol`` is the stopping threshold on the largest coordinate change of
     v.  A rho beyond float range is inf; ArithmeticError means the cap.
@@ -425,7 +424,7 @@ def parse_matrix(text: str) -> RationalMatrix:
         # lists, not iterators, feed tuples and star arguments: a resized tuple stays on CPython's free list
         rows.append((*map(scaled.__getitem__, parts),))
         dens.append(l)
-    return object.__new__(RationalMatrix)._hold(tuple(rows), tuple(dens))
+    return RationalMatrix(tuple(rows), tuple(dens))
 
 
 # The default limit on int(str) since Python 3.11; checking it here gives

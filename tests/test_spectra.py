@@ -70,7 +70,10 @@ def test_matrix_validation():
     with pytest.raises(ValueError, match="square"):
         RationalMatrix.from_rows([[1, 2]])
     with pytest.raises(ValueError, match="nonempty"):
-        RationalMatrix(())
+        RationalMatrix.from_rows(())
+    # the constructor takes the fields, rows over their lcm, and checks them alike
+    with pytest.raises(ValueError, match="row 1, column 2: matrix must be nonnegative, got -1/2"):
+        RationalMatrix(((1, -1), (0, 1)), (2, 1))
 
 
 def test_leading_eigenvalue_identity():
@@ -427,8 +430,31 @@ def test_perron_guess_to_denominator_1000_decides_where_10_does_not(monkeypatch)
     column_similar = _diagonally_similar(rng, columns, [rng.choice((13, 17)) for _ in range(n)])
     for rows in (row_similar, column_similar):
         a = RationalMatrix.from_rows(rows)
-        assert [(b.lo < 1 <= b.hi) for b in a._blocks] == [True]
-        assert is_contracting(a) is False
+        assert [[lo < 1 <= hi for lo, hi in _sum_brackets(b)] for b in a._blocks] == [[True, True]]
+        # the guess closes rho 1 at [1, 1], so the estimate is exact too
+        assert [(b.lo, b.hi) for b in a._blocks] == [(1, 1)]
+        assert is_contracting(a) is False and leading_eigenvalue(a) == 1.0
+
+
+def test_the_ladder_iterates_on_p_transpose_only_when_p_leaves_1_inside(monkeypatch):
+    # row sums 1/2 and 3/2 straddle 1, and P's own iterate decides them, so
+    # building the records runs at most one power iteration per matrix
+    rng = random.Random(37)
+    iterate = spectra._power_iteration
+    calls = []
+
+    def counted(b, tol, steps):
+        calls.append(steps)
+        return iterate(b, tol, steps)
+
+    monkeypatch.setattr(spectra, "_power_iteration", counted)
+    per_matrix = []
+    for _ in range(100):
+        a = RationalMatrix.from_rows(_permuted(rng, _straddling_rows(rng, rng.randint(2, 10) + 3)))
+        calls.clear()
+        assert len(a._blocks) == 1  # a positive matrix is one primitive block
+        per_matrix.append(len(calls))
+    assert max(per_matrix) == 1 and sum(per_matrix) >= 90
 
 
 def test_each_block_is_certified_once(monkeypatch):
@@ -668,7 +694,7 @@ def test_parse_matrix_equals_from_rows():
         text = f"{n}\n" + "".join(" ".join(_spelled(rng, e) for e in row) + "\n" for row in rows)
         a, b = parse_matrix(text), RationalMatrix.from_rows(rows)
         assert a == b and hash(a) == hash(b) and a.entries == b.entries, text
-        assert RationalMatrix(b.entries) == b and a.apply([1] * n) == [sum(row) for row in rows]
+        assert RationalMatrix.from_rows(b.entries) == b and a.apply([1] * n) == [sum(row) for row in rows]
 
 
 def _reference_blocks(a: RationalMatrix) -> tuple:
