@@ -13,8 +13,8 @@ curves triples per letter.  ``--max-steps`` (``orbit``, ``sweep`` and
 drifts builds conjugators that grow with each step.
 
 ``sweep --jobs`` is parsed and must be at least 1, for scripts that
-pass it; nothing reads it: a sweep runs in the calling process, over
-merged prefix states of the curve tree (see ``run_sweep``).
+pass it; nothing reads it: a sweep runs in the calling process, and
+``PullbackSystem.sweep`` makes its verdicts (see ``run_sweep``).
 
 ``main`` builds its parser once per process, on its first call, and
 reuses it on every later call; it looks up the command's ``cmd_*``
@@ -38,7 +38,7 @@ import math
 import sys
 import time
 
-from .curves import Classification, Curve, EntersCycle, EventuallyTrivial, PullbackError, PullbackSystem, Unresolved
+from .curves import Classification, EntersCycle, EventuallyTrivial, PullbackError, PullbackSystem, Unresolved
 from .mapdef import load_map
 from .verify import LENGTH_TESTS, MAX_SECTION_DEPTH, SUITES, VERDICT_CHECKS, SuiteError, applies, run_suite, sweep_facts
 
@@ -176,55 +176,21 @@ def _sweep_curves(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
 
 
 def _sweep_states(system: PullbackSystem, max_len: int, max_steps: int) -> dict | None:
-    """The sweep report from ``PullbackSystem.prefix_states``, or None
-    where the states cannot vouch for it: a twist-table entry holds a
+    """The sweep report from ``PullbackSystem.sweep``, or None where its
+    counted verdicts cannot vouch for it: a twist-table entry holds a
     fault, a check finds a problem or raises, or a check that reads the
     curve fails its test on the length (``verify.LENGTH_TESTS`` holds one
-    for every such check).
-
-    Only the targets are classified, in one walk.  The curves of a state
-    take their target's verdict plus one step (a trivial image gives
-    ``EventuallyTrivial(1)``), unresolved if that needs more than
-    ``max_steps`` pullbacks.  But a curve on a cycle enters it at once:
-    it is the curve before its target on the cycle, so it is found as
-    the last curve of a target's cycle of preperiod 0, and moved to
-    preperiod 0.  Each check in ``verify.VERDICT_CHECKS`` runs once per
-    distinct verdict, given None for the curve, which it never reads;
-    each length test runs once per length and verdict.
+    for every such check).  Each check in ``verify.VERDICT_CHECKS`` runs
+    once per distinct verdict, given None for the curve, which it never
+    reads; each length test runs once per length and verdict.
     """
     try:
-        states = system.prefix_states(max_len)
+        found = system.sweep(max_len, max_steps)
     except PullbackError:
         return None
     facts = sweep_facts(system.mapdef)
     verdict_checks = [check for check in facts if check in VERDICT_CHECKS]
     length_tests = [LENGTH_TESTS[check] for check in facts if check not in VERDICT_CHECKS]
-    cut = Unresolved(max_steps)
-
-    def one_step_before(cls: Classification) -> Classification:
-        if isinstance(cls, EventuallyTrivial) and cls.steps < max_steps:
-            return EventuallyTrivial(cls.steps + 1)
-        if isinstance(cls, EntersCycle) and cls.preperiod + len(cls.cycle) < max_steps:
-            return EntersCycle(cls.preperiod + 1, cls.cycle, cls.cycle_weights)
-        return cut
-
-    curves: collections.Counter = collections.Counter()  # (length, target) -> curves
-    for length, target, count in states:
-        curves[length, target] += count
-    targets = list(dict.fromkeys(target for _, target in curves if target is not None))
-    before: dict[Curve | None, Classification] = {None: EventuallyTrivial(1)}  # target -> its curves' verdict
-    made: dict[int, Classification] = {}  # id of a target's verdict -> one step before it
-    found = []  # (length, verdict, curves)
-    for target, cls in zip(targets, system.classify(targets, max_steps)):
-        if id(cls) not in made:
-            made[id(cls)] = one_step_before(cls)
-        before[target] = made[id(cls)]
-        if isinstance(cls, EntersCycle) and not cls.preperiod and len(cls.cycle[-1].conjugator) <= max_len:
-            length = len(cls.cycle[-1].conjugator)
-            curves[length, target] -= 1
-            cycle, weights = cls.cycle, cls.cycle_weights
-            found.append((length, EntersCycle(0, cycle[-1:] + cycle[:-1], weights[-1:] + weights[:-1]), 1))
-    found += [(length, before[target], count) for (length, target), count in curves.items() if count]
     histogram: collections.Counter = collections.Counter()
     checked = set()  # ids of the verdicts checked
     try:
@@ -238,7 +204,7 @@ def _sweep_states(system: PullbackSystem, max_len: int, max_steps: int) -> dict 
                 return None
     except Exception:  # raised again by the curve path, at its curve
         return None
-    return {"curve_count": sum(count for _, _, count in states), "histogram": histogram, "counterexamples": []}
+    return {"curve_count": sum(count for _, _, count in found), "histogram": histogram, "counterexamples": []}
 
 
 def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
@@ -246,8 +212,8 @@ def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
     curve count, the histogram and the counterexamples found by
     ``verify.sweep_facts``, in curve order.
 
-    The report comes from the merged prefix states (``_sweep_states``)
-    where they vouch for it, and from the curves one by one
+    The report comes from ``PullbackSystem.sweep`` (``_sweep_states``)
+    where its verdicts vouch for it, and from the curves one by one
     (``_sweep_curves``) where they do not: then the counterexamples are
     listed and the first error is raised as a check of every curve in
     turn finds them.  A sweep runs in this process.
@@ -383,10 +349,12 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--map", required=True, help="built-in name, file path, or name on CURVEPULL_MAP_PATH")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
+    max_steps_help = f"pullbacks per orbit before it is unresolved (default 1000, at most {MAX_STEPS})"
+
     p_orbit = sub.add_parser("orbit", help="pullback orbit of one curve")
     add_common(p_orbit)
     p_orbit.add_argument("--curve", required=True, help="AXIS or AXIS^(WORD)")
-    p_orbit.add_argument("--max-steps", type=int, default=1000)
+    p_orbit.add_argument("--max-steps", type=int, default=1000, help=max_steps_help)
 
     p_verify = sub.add_parser("verify", help="check a built-in map against its reference identities")
     add_common(p_verify)
@@ -396,8 +364,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="classify all curves up to a conjugator length")
     add_common(p_sweep)
-    p_sweep.add_argument("--max-len", type=int, required=True)
-    p_sweep.add_argument("--max-steps", type=int, default=1000)
+    p_sweep.add_argument("--max-len", type=int, required=True,
+                         help=f"longest conjugator to classify, 0 to {MAX_SWEEP_LENGTH}")
+    p_sweep.add_argument("--max-steps", type=int, default=1000, help=max_steps_help)
     p_sweep.add_argument("--jobs", type=int, default=None,
                          help="accepted for scripts that pass it, at least 1; a sweep runs in one process")
 

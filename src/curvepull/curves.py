@@ -25,8 +25,9 @@ class PullbackError(ValueError):
 
 
 class Curve(NamedTuple):
-    """A tuple, so its hash runs in C over the word's cached hash; it
-    compares equal to the plain tuple (axis, conjugator)."""
+    """A tuple equal to the plain tuple (axis, conjugator).  Its hash
+    makes one Python call to ``Word.__hash__``, so a walk looks each
+    curve up once per step."""
 
     axis: int  # index into the map's three axes
     conjugator: Word
@@ -243,118 +244,131 @@ class PullbackSystem:
             return PullbackStep(None, s, 0, weight)
         return PullbackStep(self.canonicalize(target, v * self.psi._scan(w, state)), s, t, weight)
 
-    def _classify(
-        self, starts: Iterable[Curve], max_steps: int
-    ) -> tuple[list[Classification], list[PullbackStep | None]]:
-        """Classify the orbits of the canonical curves ``starts`` in one
-        walk; also return the pullback steps taken, by curve id.
+    def _walk(self, starts: Iterable[Curve], max_steps: int) -> tuple[dict[Curve, list], list]:
+        """Walk the orbits of the canonical curves ``starts`` at once.
 
-        Each distinct curve gets an int id from one dict keyed by its
-        axis and letters, in the order the walk meets it.  Lists indexed
-        by id hold the curve, its pullback step, its target's id (-1 for
-        the trivial curve) and a compact verdict: (steps, None) for an
-        eventually trivial orbit, (preperiod, id of the cycle curve it
-        enters at) for a cycle.  From each start the walk follows target
-        ids to the trivial curve, a repeat, a curve with a verdict, or
-        ``max_steps`` curves.  Each curve of a new cycle sees the cycle
-        from itself, and each curve before it gets its target's verdict
-        plus one step, so each distinct curve is pulled back once.  The
-        classification objects are built per compact verdict, at the end.
-        A verdict that needs more than ``max_steps`` pullbacks (the
-        trivial depth, or preperiod plus period) is unresolved.
+        Return a node [step, verdict, stamp] per distinct curve met, in
+        the order met, and each start's compact verdict: (n, None) for
+        trivial after n steps, (preperiod, cycle curve entered at) for a
+        cycle, or None if cut after ``max_steps`` pullbacks.  A walk stops
+        at the trivial curve, a curve with a verdict, or one on its own
+        path, which closes a new cycle; the curves before get their
+        target's verdict plus one step.  Each curve is pulled back once.
+        A stamp is a path index plus ``mark``, which grows by
+        ``max_steps`` per walk, so one of at least ``mark`` is on the path.
         """
         pullback = self.pullback
-        ids: dict[tuple[int, tuple[int, ...]], int] = {}
-        curve_of: list[Curve] = []
-        step_of: list[PullbackStep | None] = []
-        next_of: list[int | None] = []  # None until pulled back
-        verdict: list[tuple[int, int | None] | None] = []
-        walked_by: list[int] = []  # the last walk that had the id on its path
-
-        def curve_id(curve: Curve) -> int:
-            # hash(-1) == hash(-2), so keys that differ in x^-1 / y^-1 share
-            # a hash; probing past them costs less than building a shifted key
-            key = (curve.axis, curve.conjugator.codes)
-            i = ids.get(key)
-            if i is None:
-                i = ids[key] = len(curve_of)
-                curve_of.append(curve)
-                step_of.append(None)
-                next_of.append(None)
-                verdict.append(None)
-                walked_by.append(-1)
-            return i
-
-        found: list[tuple[int, int | None] | None] = []  # per start; None if cut
-        for walk, start in enumerate(starts):
-            cur = curve_id(start)
-            path: list[int] = []
-            while cur >= 0 and verdict[cur] is None and walked_by[cur] != walk:
-                if len(path) == max_steps:
-                    found.append(None)
+        nodes: dict[Curve, list] = {}
+        found: list = []
+        mark = 0
+        for cur in starts:
+            path: list[list] = []
+            v = (0, None)
+            while cur is not None:
+                node = nodes.get(cur)
+                if node is None:
+                    node = nodes[cur] = [None, None, -1]
+                elif node[1] is not None:
+                    v = node[1]
                     break
-                walked_by[cur] = walk
-                path.append(cur)
-                nxt = next_of[cur]
-                if nxt is None:
-                    step = step_of[cur] = pullback(curve_of[cur])
-                    nxt = next_of[cur] = -1 if step.target is None else curve_id(step.target)
-                cur = nxt
-            else:
-                if cur >= 0 and verdict[cur] is None:  # back on the path: a new cycle
-                    k = path.index(cur)
-                    for c in path[k:]:
-                        verdict[c] = (0, c)
-                    del path[k:]
-                v = (0, None) if cur < 0 else verdict[cur]
+                elif node[2] >= mark:  # a new cycle: each of its curves enters at itself
+                    for c_node in path[node[2] - mark :]:
+                        c_node[1] = (0, cur)
+                        cur = c_node[0].target
+                    v = node[1]
+                    del path[node[2] - mark :]
+                    break
+                if len(path) == max_steps:
+                    v = None
+                    break
+                node[2] = mark + len(path)
+                path.append(node)
+                step = node[0]
+                if step is None:
+                    step = node[0] = pullback(cur)
+                cur = step.target
+            if v is not None:
                 n, entry = v
-                for c in reversed(path):
+                for node in reversed(path):
                     n += 1
-                    v = verdict[c] = (n, entry)
-                found.append(v)
+                    node[1] = v = (n, entry)
+            found.append(v)
+            mark += max_steps
+        return nodes, found
 
+    @staticmethod
+    def _records(nodes: dict[Curve, list], verdicts: Iterable, max_steps: int) -> list[Classification]:
+        """The classification of each compact verdict of ``_walk``, one
+        object per distinct verdict; unresolved where it needs more than
+        ``max_steps`` pullbacks (the trivial depth, or preperiod plus
+        period)."""
         cut = Unresolved(max_steps)
-        made: dict[tuple[int, int | None], Classification] = {}
+        made: dict[tuple, Classification] = {}
         out: list[Classification] = []
-        for v in found:
+        for v in verdicts:
             cls = cut if v is None else made.get(v)
             if cls is None:
                 n, entry = v
                 if entry is None:
                     cls, needed = EventuallyTrivial(n), n
                 else:
-                    cycle = [entry]
-                    while next_of[cycle[-1]] != entry:
-                        cycle.append(next_of[cycle[-1]])
-                    cls = EntersCycle(
-                        n, tuple(curve_of[c] for c in cycle), tuple(step_of[c].weight for c in cycle)
-                    )
+                    cycle, weights = [entry], []
+                    while True:
+                        step = nodes[cycle[-1]][0]
+                        weights.append(step.weight)
+                        if step.target == entry:
+                            break
+                        cycle.append(step.target)
+                    cls = EntersCycle(n, tuple(cycle), tuple(weights))
                     needed = n + len(cycle)
                 cls = made[v] = cls if needed <= max_steps else cut
             out.append(cls)
-        return out, step_of
+        return out
 
     def orbit(self, curve: Curve, max_steps: int = 1000) -> OrbitResult:
         """The orbit of a curve in any spelling, cut after ``max_steps`` pullbacks."""
         if max_steps < 1:
             raise ValueError("max_steps must be positive")
         start = self.canonicalize(curve.axis, curve.conjugator)
-        (cls,), steps = self._classify((start,), max_steps)
-        # One walk meets the curves in orbit order; only the last may
-        # be left without a step.
-        return OrbitResult(start, tuple(st for st in steps if st is not None), cls)
+        nodes, found = self._walk((start,), max_steps)
+        # one walk meets the curves in orbit order; only the last may lack a step
+        steps = tuple(node[0] for node in nodes.values() if node[0] is not None)
+        return OrbitResult(start, steps, self._records(nodes, found, max_steps)[0])
 
     def classify(self, curves: Iterable[Curve], max_steps: int = 1000) -> list[Classification]:
-        """``orbit(c, max_steps).classification`` for each curve, pulling
-        each distinct curve back at most once.
+        """``orbit(c, max_steps).classification`` for each canonical curve
+        (``orbit`` alone canonicalizes), each distinct curve pulled back
+        at most once."""
+        if max_steps < 1:
+            raise ValueError("max_steps must be positive")
+        return self._records(*self._walk(curves, max_steps), max_steps)
 
-        The curves must be canonical, as ``enumerate_curves`` and
-        ``parse_curve`` return them; unlike ``orbit``, this does not
-        canonicalize its input.
+    def sweep(self, max_len: int, max_steps: int = 1000) -> list[tuple[int, Classification, int]]:
+        """The classifications of ``enumerate_curves(max_len)``, counted:
+        (conjugator length, classification, number of curves) triples.
+
+        Only the targets of ``prefix_states`` are walked.  A state's curves
+        take their target's verdict plus one step, except a curve on a
+        cycle, which enters it at itself.  Raises as ``prefix_states``.
         """
         if max_steps < 1:
             raise ValueError("max_steps must be positive")
-        return self._classify(curves, max_steps)[0]
+        by_target: dict[Curve | None, dict[int, int]] = {None: {}}  # target -> length -> curves
+        for length, target, count in self.prefix_states(max_len):
+            at = by_target.setdefault(target, {})
+            at[length] = at.get(length, 0) + count
+        nodes, found = self._walk(list(by_target)[1:], max_steps)
+        on_cycles = [c for c, node in nodes.items() if node[1] and not node[1][0] and len(c.conjugator) <= max_len]
+        for c in on_cycles:
+            by_target[nodes[c][0].target][len(c.conjugator)] -= 1
+        verdicts = [(1, None), *(v and (v[0] + 1, v[1]) for v in found), *((0, c) for c in on_cycles)]
+        groups = [*by_target.values(), *({len(c.conjugator): 1} for c in on_cycles)]
+        return [
+            (length, cls, count)
+            for at, cls in zip(groups, self._records(nodes, verdicts, max_steps))
+            for length, count in at.items()
+            if count
+        ]
 
     # -- enumeration ---------------------------------------------------------
 

@@ -305,6 +305,19 @@ schreier y^-1 x y -> 1
 schreier y y -> y^-1 x^-1
 """
 
+# The automorphism x -> y -> z -> x, of order 3, on the Schreier
+# generators: every curve lies on a cycle of period 3, and most of these
+# cycles pass through conjugators of two or three lengths.
+ROTATION_TEXT = """\
+map rotation
+gen x parity 0
+gen y parity 1
+axis z = y^-1 x^-1
+schreier x -> y
+schreier y y -> y^-1 x^-1 y^-1 x^-1
+schreier y^-1 x y -> x y x^-1
+"""
+
 # The map of test_curves.test_non_twist_image_raises: the pullback of b fails.
 BROKEN_TEXT = """\
 map broken
@@ -331,7 +344,8 @@ def sweep_maps(tmp_path_factory):
     d = tmp_path_factory.mktemp("maps")
     (d / "twisted.map").write_text(TWISTED_TEXT)
     (d / "broken.map").write_text(BROKEN_TEXT)
-    return {"TWISTED": str(d / "twisted.map"), "BROKEN": str(d / "broken.map")}
+    (d / "rotation.map").write_text(ROTATION_TEXT)
+    return {"TWISTED": str(d / "twisted.map"), "BROKEN": str(d / "broken.map"), "ROTATION": str(d / "rotation.map")}
 
 
 @pytest.fixture
@@ -390,17 +404,13 @@ def test_jobs_is_validated_and_capped_by_the_usable_cpus(capsys, forks):
     assert forks == []
 
 
-def curve_histogram(system, max_len, max_steps):
-    """The sweep's curve count and histogram, from the curves one by one."""
-    curves = system.enumerate_curves(max_len)
-    return len(curves), collections.Counter(map(cli._bucket, system.classify(curves, max_steps)))
-
-
-@pytest.mark.parametrize("name", ["rabbit", "dendrite", "fixed", "TWISTED"])
+@pytest.mark.parametrize("name", ["rabbit", "dendrite", "fixed", "TWISTED", "ROTATION"])
 def test_state_sweep_matches_the_curves(monkeypatch, sweep_maps, fixed_map_text, tmp_path, name):
     # With no checks, the state sweep always answers: so the verdicts it
     # derives from the targets', cycles and cut orbits included, are
-    # compared on every input.  On the fixed map every curve is on a cycle.
+    # compared on every input.  On the fixed and rotation maps every curve
+    # is on a cycle; only the rotation's cycles mix conjugator lengths, so
+    # only there does a cycle that starts at the wrong curve change the count.
     if name == "fixed":
         (tmp_path / "fixed.map").write_text(fixed_map_text)
         name = str(tmp_path / "fixed.map")
@@ -409,10 +419,17 @@ def test_state_sweep_matches_the_curves(monkeypatch, sweep_maps, fixed_map_text,
         assert all(cli._sweep_states(system, max_len, 1000) for max_len in range(cli.MAX_SWEEP_LENGTH + 1))
     monkeypatch.setattr(cli, "sweep_facts", lambda mapdef: [])
     for max_len in range(9 if name in ("rabbit", "dendrite") else 7):
+        curves = system.enumerate_curves(max_len)
         for max_steps in (1, 2, 3, 5, 1000):
+            classes = system.classify(curves, max_steps)
             report = cli._sweep_states(system, max_len, max_steps)
             got = report["curve_count"], report["histogram"]
-            assert got == curve_histogram(system, max_len, max_steps), (max_len, max_steps)
+            assert got == (len(curves), collections.Counter(map(cli._bucket, classes))), (max_len, max_steps)
+            # whole records: a cycle that starts at the wrong curve has the right bucket
+            swept = collections.Counter()
+            for length, cls, count in system.sweep(max_len, max_steps):
+                swept[length, cls] += count
+            assert swept == collections.Counter(zip((len(c.conjugator) for c in curves), classes)), (max_len, max_steps)
 
 
 def test_a_failed_length_test_falls_back_to_the_curves(capsys, monkeypatch):
@@ -580,10 +597,17 @@ def test_spectra_cycle_of_trivial_orbit(capsys):
 
 
 def test_spectra_help_states_the_default_tolerance(capsys):
-    # the help spells the default out, so that building the parser does not load spectra
-    with pytest.raises(SystemExit):
-        main(["spectra", "--help"])
-    assert f"(default {spectra.DEFAULT_TOL:g})" in " ".join(capsys.readouterr().out.split())
+    # the help spells the default out, so that building the parser does not load spectra;
+    # the orbit cut and the sweep length state their defaults and caps too
+    for command, stated in [
+        ("spectra", f"--tol TOL stopping threshold of the --matrix power iteration (default {spectra.DEFAULT_TOL:g})"),
+        ("orbit", f"--max-steps MAX_STEPS pullbacks per orbit before it is unresolved (default 1000, at most {cli.MAX_STEPS})"),
+        ("sweep", f"--max-steps MAX_STEPS pullbacks per orbit before it is unresolved (default 1000, at most {cli.MAX_STEPS})"),
+        ("sweep", f"--max-len MAX_LEN longest conjugator to classify, 0 to {cli.MAX_SWEEP_LENGTH}"),
+    ]:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert stated in " ".join(capsys.readouterr().out.split()), (command, stated)
 
 
 def test_spectra_needs_exactly_one_source(capsys):

@@ -441,14 +441,16 @@ def test_prefix_states_hold_each_curve_once_with_its_target(name, axis_shape_sys
             assert count > 0
             got[length, target] += count
         assert got == want
-    with pytest.raises(ValueError):
-        system.prefix_states(-1)
+    for bad in (lambda: system.prefix_states(-1), lambda: system.sweep(-1), lambda: system.sweep(2, 0)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_prefix_states_raise_on_a_faulty_twist_entry(axis_shape_systems):
     # the proper power x y x y is no axis word, so the z entries hold faults
-    with pytest.raises(PullbackError, match="primitive root x y is not conjugate to an axis"):
-        axis_shape_systems["x y x y"].prefix_states(0)
+    for walk in (axis_shape_systems["x y x y"].prefix_states, axis_shape_systems["x y x y"].sweep):
+        with pytest.raises(PullbackError, match="primitive root x y is not conjugate to an axis"):
+            walk(0)
 
 
 @pytest.mark.parametrize("name, max_length, states", [
