@@ -37,10 +37,11 @@ import json
 import math
 import sys
 import time
+from typing import Iterable
 
-from .curves import Classification, EntersCycle, EventuallyTrivial, PullbackError, PullbackSystem, Unresolved
+from .curves import Classification, Curve, EntersCycle, EventuallyTrivial, PullbackError, PullbackSystem, Unresolved
 from .mapdef import load_map
-from .verify import LENGTH_TESTS, MAX_SECTION_DEPTH, SUITES, VERDICT_CHECKS, SuiteError, applies, run_suite, sweep_facts
+from .verify import MAX_SECTION_DEPTH, SUITES, SuiteError, applies, run_suite, sweep_facts
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -133,8 +134,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 # length 10 (196,830 curves, 21,891 states on the rabbit) a sweep takes
 # about 0.2-0.26 s and 25 MB on the rabbit and 0.09 s and 19 MB on the
 # dendrite, in a fresh process (2-CPU host, Python 3.11).  A sweep that
-# falls back to its curves one by one (see ``run_sweep``) takes about 2 s
-# and 166 MB there.
+# falls back to its curves one by one (see ``run_sweep``) takes far longer:
+# 40-60 s and 167 MB on the twisted rabbit of the tests and the CI, whose
+# cut orbits ``classify`` walks again once per curve.
 MAX_SWEEP_LENGTH = 10
 
 # Most pullback steps ``orbit``, ``sweep`` and ``spectra --cycle-of`` take
@@ -154,57 +156,56 @@ def _bucket(cls: Classification) -> tuple[str, int]:
     return ("unresolved", 0)
 
 
-def _sweep_curves(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
-    """The sweep report from the curves themselves: enumerate and
-    classify them, then run every check on every curve, in curve order
-    and table order.  So the first error in that order is raised, and
-    the counterexamples are listed in it."""
-    curves = system.enumerate_curves(max_len)
-    classes = system.classify(curves, max_steps)
+def _report(system: PullbackSystem, groups: Iterable[tuple[int, Classification, int, Curve | None]]) -> dict | None:
+    """The sweep report of (conjugator length, classification, number of
+    curves, curve) groups, or None where a merged prefix state's group,
+    whose curve is None, fails a check or a length test.  The checks of
+    ``verify.sweep_facts`` run in table order: one without a length test
+    once per distinct classification, given None for the curve, and one
+    with a length test on the curve where the test fails."""
     facts = sweep_facts(system.mapdef)
+    histogram: collections.Counter = collections.Counter()
     counterexamples = []
-    for curve, cls in zip(curves, classes):
-        for check in facts:
-            problem = check(system, curve, cls)
+    todo_of: dict[int, list] = {}  # classification id -> (check, length test, problem) rows that act on a group
+    curve_count = 0
+    for length, cls, count, curve in groups:
+        curve_count += count
+        histogram[_bucket(cls)] += count
+        todo = todo_of.get(id(cls))
+        if todo is None:
+            rows = [(check, test, None if test else check(system, None, cls)) for check, test in facts]
+            todo = todo_of[id(cls)] = [row for row in rows if row[1] or row[2] is not None]
+        for check, test, problem in todo:
+            if test and not test(length, cls):
+                if curve is None:
+                    return None
+                problem = check(system, curve, cls)
             if problem is not None:
+                if curve is None:
+                    return None
                 counterexamples.append(f"{system.format_curve(curve)}: {problem}")
-    return {
-        "curve_count": len(curves),
-        "histogram": collections.Counter(map(_bucket, classes)),
-        "counterexamples": counterexamples,
-    }
+    return {"curve_count": curve_count, "histogram": histogram, "counterexamples": counterexamples}
 
 
 def _sweep_states(system: PullbackSystem, max_len: int, max_steps: int) -> dict | None:
-    """The sweep report from ``PullbackSystem.sweep``, or None where its
-    counted verdicts cannot vouch for it: a twist-table entry holds a
-    fault, a check finds a problem or raises, or a check that reads the
-    curve fails its test on the length (``verify.LENGTH_TESTS`` holds one
-    for every such check).  Each check in ``verify.VERDICT_CHECKS`` runs
-    once per distinct verdict, given None for the curve, which it never
-    reads; each length test runs once per length and verdict.
-    """
+    """The report of ``PullbackSystem.sweep``'s merged prefix states, or
+    None where they cannot vouch for it: a twist-table entry holds a
+    fault, or a state's group fails a check or a length test, or raises."""
     try:
         found = system.sweep(max_len, max_steps)
     except PullbackError:
         return None
-    facts = sweep_facts(system.mapdef)
-    verdict_checks = [check for check in facts if check in VERDICT_CHECKS]
-    length_tests = [LENGTH_TESTS[check] for check in facts if check not in VERDICT_CHECKS]
-    histogram: collections.Counter = collections.Counter()
-    checked = set()  # ids of the verdicts checked
     try:
-        for length, cls, count in found:
-            histogram[_bucket(cls)] += count
-            if id(cls) not in checked:
-                checked.add(id(cls))
-                if any(check(system, None, cls) is not None for check in verdict_checks):
-                    return None
-            if not all(test(length, cls) for test in length_tests):
-                return None
+        return _report(system, ((length, cls, count, None) for length, cls, count in found))
     except Exception:  # raised again by the curve path, at its curve
         return None
-    return {"curve_count": sum(count for _, _, count in found), "histogram": histogram, "counterexamples": []}
+
+
+def _sweep_curves(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
+    """The report of the curves one by one, in curve order."""
+    curves = system.enumerate_curves(max_len)
+    classes = system.classify(curves, max_steps)
+    return _report(system, ((len(c.conjugator), cls, 1, c) for c, cls in zip(curves, classes)))
 
 
 def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
@@ -212,11 +213,9 @@ def run_sweep(system: PullbackSystem, max_len: int, max_steps: int) -> dict:
     curve count, the histogram and the counterexamples found by
     ``verify.sweep_facts``, in curve order.
 
-    The report comes from ``PullbackSystem.sweep`` (``_sweep_states``)
-    where its verdicts vouch for it, and from the curves one by one
-    (``_sweep_curves``) where they do not: then the counterexamples are
-    listed and the first error is raised as a check of every curve in
-    turn finds them.  A sweep runs in this process.
+    ``_report`` checks the merged prefix states (``_sweep_states``) and,
+    where they cannot vouch for the report, the curves one by one
+    (``_sweep_curves``).  A sweep runs in this process.
 
     The cyclic garbage collector is off for the whole sweep, and the
     caller's setting is restored after it.  A sweep builds no reference

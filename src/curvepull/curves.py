@@ -115,7 +115,7 @@ class _Twist(NamedTuple):
     fault: str | None = None
 
 
-_CURVE_RE = re.compile(r"^\s*(\S+?)\s*(?:\^\s*\(\s*(.*?)\s*\)\s*)?$")
+_CURVE_RE = re.compile(r"^\s*(\S+?)\s*(?:\^\s*\(\s*([^()]*?)\s*\)\s*)?$")
 
 
 class PullbackSystem:

@@ -170,8 +170,9 @@ def parse_mapdef(text: str) -> MapDefinition:
 
     if name is None:
         raise MapDefError("syntax-error", "missing map line")
-    if len(gens) != 2:
-        raise MapDefError("syntax-error", f"expected exactly 2 generators, got {len(gens)}")
+    if len(gens) != 2:  # at the first surplus line; a shortage has none, like a missing map line
+        line = gens[2][2] if len(gens) > 2 else 0
+        raise MapDefError("syntax-error", f"expected exactly 2 generators, got {len(gens)}", line)
     if gens[0][0] == gens[1][0]:
         raise MapDefError("duplicate-axis", f"generator name {gens[0][0]!r} repeated", gens[1][2])
     bits = (gens[0][1], gens[1][1])
@@ -179,8 +180,9 @@ def parse_mapdef(text: str) -> MapDefinition:
         raise MapDefError("parity-not-surjective", "parity bits are all zero", gens[1][2])
     if axis is None:
         raise MapDefError("syntax-error", "missing axis line")
-    if len(schreier) != 3:
-        raise MapDefError("syntax-error", f"expected exactly 3 schreier lines, got {len(schreier)}")
+    if len(schreier) != 3:  # at the first surplus line, as for the generators
+        line = schreier[3][2] if len(schreier) > 3 else 0
+        raise MapDefError("syntax-error", f"expected exactly 3 schreier lines, got {len(schreier)}", line)
 
     gen_names = (gens[0][0], gens[1][0])
     gen_table = {gen_names[0]: Word((1,), _reduced=True), gen_names[1]: Word((2,), _reduced=True)}

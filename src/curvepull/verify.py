@@ -308,12 +308,10 @@ def _trivial_within_length_bound(length: int, cls: Classification) -> bool:
 
 
 def _trivial_within_bound(system: PullbackSystem, curve: Curve, cls: Classification) -> str | None:
-    if _trivial_within_length_bound(len(curve.conjugator.codes), cls):
+    if not isinstance(cls, EventuallyTrivial):
         return None
     bound = 4 * geodesic_length(curve.conjugator, [system.mapdef.third_axis]) + 3
-    if cls.steps > bound:
-        return f"trivial after {cls.steps} steps, bound {bound}"
-    return None
+    return f"trivial after {cls.steps} steps, bound {bound}" if cls.steps > bound else None
 
 
 def _never_cycles(system: PullbackSystem, curve: Curve, cls: Classification) -> str | None:
@@ -330,33 +328,27 @@ def _cycle_is_axes(system: PullbackSystem, curve: Curve, cls: Classification) ->
 
 
 # What fails a ``sweep``: name -> (maps it applies to, None for every map;
-# check).  A check returns what is wrong with one curve's classification,
-# or None.  The first row is for any map: an unresolved orbit decides nothing,
-# and a cycle of weight product >= 1 is an obstruction.  The paper proves the rest.
+# check; length test or None).  A check returns what is wrong with one
+# curve's classification, or None.  A check with no length test reads the
+# classification alone, never the curve.  A length test passes on a
+# conjugator's length and classification only where the check passes too:
+# a sweep of merged prefix states knows a state's length but not its
+# curves, and it runs the check on the curves only where the test fails.
+# The first row is for any map: an unresolved orbit decides nothing, and a
+# cycle of weight product >= 1 is an obstruction.  The paper proves the rest.
 SweepCheck = Callable[[PullbackSystem, Curve, Classification], str | None]
-SWEEP_FACTS: dict[str, tuple[tuple[str, ...] | None, SweepCheck]] = {
-    "resolved, no cycle of weight product >= 1": (None, _resolved_unobstructed),
-    "trivial within 4|w|+3 steps": (("dendrite",), _trivial_within_bound),
-    "never enters a cycle": (("dendrite",), _never_cycles),
-    "the only cycle is the axis 3-cycle": (("rabbit",), _cycle_is_axes),
-}
-
-# The checks above that read the classification alone, never the curve:
-# a sweep runs each once per distinct classification, not once per curve.
-VERDICT_CHECKS = frozenset((_resolved_unobstructed, _never_cycles, _cycle_is_axes))
-
-# The other checks, each with a test on the conjugator's length and the
-# classification that, when it passes, shows the check passes: a sweep of
-# merged prefix states knows a state's length but not its curves, and it
-# checks the curves one by one only where a test fails.
-LENGTH_TESTS: dict[SweepCheck, Callable[[int, Classification], bool]] = {
-    _trivial_within_bound: _trivial_within_length_bound,
+LengthTest = Callable[[int, Classification], bool]
+SWEEP_FACTS: dict[str, tuple[tuple[str, ...] | None, SweepCheck, LengthTest | None]] = {
+    "resolved, no cycle of weight product >= 1": (None, _resolved_unobstructed, None),
+    "trivial within 4|w|+3 steps": (("dendrite",), _trivial_within_bound, _trivial_within_length_bound),
+    "never enters a cycle": (("dendrite",), _never_cycles, None),
+    "the only cycle is the axis 3-cycle": (("rabbit",), _cycle_is_axes, None),
 }
 
 
-def sweep_facts(mapdef: MapDefinition) -> list[SweepCheck]:
-    """The sweep checks that apply to the map, in table order."""
-    return [check for maps, check in SWEEP_FACTS.values() if maps is None or applies(maps, mapdef)]
+def sweep_facts(mapdef: MapDefinition) -> list[tuple[SweepCheck, LengthTest | None]]:
+    """The (check, length test) pairs that apply to the map, in table order."""
+    return [(check, test) for maps, check, test in SWEEP_FACTS.values() if maps is None or applies(maps, mapdef)]
 
 
 def run_suite(suite: str, mapdef: MapDefinition, *, n_max: int = 12) -> list[SuiteResult]:

@@ -155,15 +155,49 @@ COUNTEREXAMPLE z^(x^-1 y): unresolved
 sweep: 17 counterexamples
 """
 
+# The fixed map named dendrite: every curve fails two rows, in table order.
+FIXED_AS_DENDRITE_SWEEP = ("sweep", "--map", "FIXED-AS-DENDRITE", "--max-len", "1")
+FIXED_AS_DENDRITE_SWEEP_TEXT = """\
+map: dendrite
+curves with conjugator length <= 1: 10
+  cycle with preperiod 0: 10
+COUNTEREXAMPLE x: obstruction, cycle weight product 1 >= 1
+COUNTEREXAMPLE x: enters a cycle, expected trivial
+COUNTEREXAMPLE x^(y): obstruction, cycle weight product 1 >= 1
+COUNTEREXAMPLE x^(y): enters a cycle, expected trivial
+COUNTEREXAMPLE x^(y^-1): obstruction, cycle weight product 1 >= 1
+COUNTEREXAMPLE x^(y^-1): enters a cycle, expected trivial
+COUNTEREXAMPLE y: obstruction, cycle weight product 1 >= 1
+COUNTEREXAMPLE y: enters a cycle, expected trivial
+COUNTEREXAMPLE y^(x): obstruction, cycle weight product 1 >= 1
+COUNTEREXAMPLE y^(x): enters a cycle, expected trivial
+COUNTEREXAMPLE y^(x^-1): obstruction, cycle weight product 1 >= 1
+COUNTEREXAMPLE y^(x^-1): enters a cycle, expected trivial
+COUNTEREXAMPLE z: obstruction, cycle weight product 1 >= 1
+COUNTEREXAMPLE z: enters a cycle, expected trivial
+COUNTEREXAMPLE z^(x): obstruction, cycle weight product 1 >= 1
+COUNTEREXAMPLE z^(x): enters a cycle, expected trivial
+COUNTEREXAMPLE z^(x^-1): obstruction, cycle weight product 1 >= 1
+COUNTEREXAMPLE z^(x^-1): enters a cycle, expected trivial
+COUNTEREXAMPLE z^(y): obstruction, cycle weight product 1 >= 1
+COUNTEREXAMPLE z^(y): enters a cycle, expected trivial
+sweep: 20 counterexamples
+"""
+
 
 @pytest.mark.parametrize(
     "argv, code, text",
     [
         *(pytest.param(argv, 0, text, id=argv[0]) for argv, text in GOLDEN.items()),
         pytest.param(UNRESOLVED_SWEEP, 1, UNRESOLVED_SWEEP_TEXT, id="sweep-unresolved"),
+        pytest.param(FIXED_AS_DENDRITE_SWEEP, 1, FIXED_AS_DENDRITE_SWEEP_TEXT, id="sweep-fixed-as-dendrite"),
     ],
 )
-def test_text_output_golden(capsys, argv, code, text):
+def test_text_output_golden(capsys, tmp_path, fixed_map_text, argv, code, text):
+    if "FIXED-AS-DENDRITE" in argv:
+        f = tmp_path / "fixed.map"
+        f.write_text(fixed_map_text.replace("map fixed", "map dendrite"))
+        argv = [str(f) if a == "FIXED-AS-DENDRITE" else a for a in argv]
     assert run(capsys, *argv) == (code, text, "")
 
 
@@ -446,9 +480,29 @@ def test_a_failed_length_test_falls_back_to_the_curves(capsys, monkeypatch):
     monkeypatch.setattr(PullbackSystem, "enumerate_curves", counted)
     assert run(capsys, *argv) == want
     assert enumerated == []
-    monkeypatch.setitem(verify.LENGTH_TESTS, verify._trivial_within_bound, lambda length, cls: False)
+    # a dendrite row whose length test always fails: its check runs on every curve
+    row = "trivial within 4|w|+3 steps"
+    maps, check, _ = verify.SWEEP_FACTS[row]
+    monkeypatch.setitem(verify.SWEEP_FACTS, row, (maps, check, lambda length, cls: False))
     assert run(capsys, *argv) == want
     assert enumerated == [6]
+
+
+def test_the_curve_path_checks_each_classification_once(monkeypatch, sweep_maps):
+    # A check with no length test reads the classification alone: the
+    # curves, like the states, run it once per distinct classification.
+    calls = []
+
+    def counting(system, curve, cls):
+        calls.append(cls)
+        return None
+
+    monkeypatch.setitem(verify.SWEEP_FACTS, "counting", (("twisted",), counting, None))
+    system = PullbackSystem(mapdef.load_map(sweep_maps["TWISTED"]))
+    report = cli._sweep_curves(system, 4, 1000)
+    classes = system.classify(system.enumerate_curves(4), 1000)
+    assert len(calls) == len({id(cls) for cls in calls}) == len(set(classes)) < len(classes)
+    assert report["counterexamples"]  # the twisted map still fails its every-map row
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

@@ -492,8 +492,9 @@ def test_parse_and_format_curve(rabbit_system):
     assert rabbit_system.parse_curve("  y ^ ( x )  ") == Curve(1, rabbit_system.mapdef.word("x"))
     with pytest.raises(ValueError, match="unknown axis"):
         rabbit_system.parse_curve("q")
-    with pytest.raises(ValueError, match="bad curve expression"):
-        rabbit_system.parse_curve("z^(x")
+    for text in ("z^(x", "x^(y)^(x)", "x^(y))", "x^((y))", "x^(y)(x)"):
+        with pytest.raises(ValueError, match="bad curve expression"):
+            rabbit_system.parse_curve(text)
 
 
 def test_curve_grammar_spec_example(dendrite_system):

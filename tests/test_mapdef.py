@@ -160,6 +160,25 @@ def test_error_carries_line():
     assert exc.value.line == 5
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (GOOD + "schreier x -> y\n", 8),
+        (GOOD.replace("gen y parity 1\n", "gen y parity 1\ngen w parity 0\n"), 4),
+        (GOOD.replace("axis", "gen w parity 0\n\n# comment\ngen v parity 1\naxis"), 4),
+        (GOOD.replace("schreier x -> y\n", ""), 0),
+        (GOOD.replace("gen x parity 0\n", ""), 0),
+    ],
+)
+def test_a_wrong_line_count_names_the_first_surplus_line(text, line):
+    # a shortage has no line to name, like a missing map line
+    with pytest.raises(MapDefError) as exc:
+        parse_mapdef(text)
+    assert exc.value.code == "syntax-error"
+    assert exc.value.line == line
+    assert "expected exactly" in str(exc.value)
+
+
 def test_load_map_builtin_and_path(tmp_path, monkeypatch):
     assert load_map("rabbit") == builtin("rabbit")
     f = tmp_path / "mymap.map"

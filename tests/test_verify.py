@@ -6,11 +6,9 @@ from curvepull.curves import Curve, EntersCycle, EventuallyTrivial, Unresolved
 from curvepull.endo import DomainError, VirtualEndo, section_conjugators
 from curvepull.mapdef import BUILTIN_TEXTS, builtin, parse_mapdef
 from curvepull.verify import (
-    LENGTH_TESTS,
     NUCLEUS_ORDER,
     NUCLEUS_PAIR_TABLE,
     SWEEP_FACTS,
-    VERDICT_CHECKS,
     SuiteError,
     run_suite,
     sweep_facts,
@@ -158,19 +156,21 @@ def test_run_all(rabbit, dendrite):
 
 def test_sweep_facts_follow_the_map_name():
     # the every-map row comes first, then the rows listed under the map name
-    every_map = [SWEEP_FACTS["resolved, no cycle of weight product >= 1"][1]]
-    rabbit_facts = every_map + [SWEEP_FACTS["the only cycle is the axis 3-cycle"][1]]
-    dendrite_facts = every_map + [SWEEP_FACTS[name][1] for name in ("trivial within 4|w|+3 steps", "never enters a cycle")]
+    def rows(*names):
+        return [SWEEP_FACTS[name][1:] for name in ("resolved, no cycle of weight product >= 1", *names)]
+
+    rabbit_facts = rows("the only cycle is the axis 3-cycle")
+    dendrite_facts = rows("trivial within 4|w|+3 steps", "never enters a cycle")
     assert sweep_facts(builtin("rabbit")) == rabbit_facts
     assert sweep_facts(builtin("dendrite")) == dendrite_facts
     # the rule is the `map` name, as for the verify suites
     assert sweep_facts(parse_mapdef(BUILTIN_TEXTS["rabbit"])) == rabbit_facts
     bunny = parse_mapdef(BUILTIN_TEXTS["rabbit"].replace("map rabbit", "map bunny"))
-    assert sweep_facts(bunny) == every_map
+    assert sweep_facts(bunny) == rows()
 
 
 def test_sweep_facts_flag_what_the_paper_excludes(rabbit_system, dendrite_system):
-    resolved, bound, never_cycles = sweep_facts(dendrite_system.mapdef)
+    (resolved, _), (bound, _), (never_cycles, _) = sweep_facts(dendrite_system.mapdef)
     b = Curve(1, Word.identity())
     assert bound(dendrite_system, b, EventuallyTrivial(3)) is None
     assert bound(dendrite_system, b, EventuallyTrivial(4)) == "trivial after 4 steps, bound 3"
@@ -186,7 +186,7 @@ def test_sweep_facts_flag_what_the_paper_excludes(rabbit_system, dendrite_system
     heavy = EntersCycle(0, (b, b), (Fraction(3), Fraction(1, 2)))
     assert resolved(dendrite_system, b, heavy) == "obstruction, cycle weight product 3/2 >= 1"
 
-    _, axis_cycle = sweep_facts(rabbit_system.mapdef)
+    _, (axis_cycle, _) = sweep_facts(rabbit_system.mapdef)
     x, y, z = (Curve(i, Word.identity()) for i in range(3))
     half = Fraction(1, 2)
     assert axis_cycle(rabbit_system, x, EntersCycle(0, (y, z, x), (half, half, Fraction(1)))) is None
@@ -194,10 +194,10 @@ def test_sweep_facts_flag_what_the_paper_excludes(rabbit_system, dendrite_system
 
 
 def test_verdict_checks_do_not_read_the_curve(rabbit_system, dendrite_system):
-    # a sweep runs these once per classification, on its first curve;
-    # only the 4|w|+3 bound is run curve by curve
-    reads_curve = {check for _, check in SWEEP_FACTS.values()} - VERDICT_CHECKS
-    assert reads_curve == {SWEEP_FACTS["trivial within 4|w|+3 steps"][1]} == set(LENGTH_TESTS)
+    # a sweep runs a check with no length test once per classification,
+    # given None for the curve; only the 4|w|+3 bound has a length test
+    tested = [name for name, (_, _, test) in SWEEP_FACTS.items() if test is not None]
+    assert tested == ["trivial within 4|w|+3 steps"]
     x, y, z = (Curve(i, Word.identity()) for i in range(3))
     half = Fraction(1, 2)
     classes = [
@@ -208,22 +208,30 @@ def test_verdict_checks_do_not_read_the_curve(rabbit_system, dendrite_system):
     ]
     far = Curve(2, Word((1, 2, -1, -2, 1), _reduced=True))
     for system in (rabbit_system, dendrite_system):
-        for check in VERDICT_CHECKS:
-            for cls in classes:
-                assert check(system, x, cls) == check(system, far, cls)
+        for _, check, test in SWEEP_FACTS.values():
+            if test is None:
+                for cls in classes:
+                    assert check(system, None, cls) == check(system, x, cls) == check(system, far, cls)
 
 
 def test_trivial_bound_past_the_shortcut_uses_the_geodesic_length(dendrite, dendrite_system):
     # For these 3- and 4-letter conjugators the shortcut 4 ceil(|w|/2) + 3
     # admits 11 steps; past it, the geodesic length 3 gives the bound 15.
     # "b a a" has no c block, and "a^-1 b^-1 a^-1 b" spells a^-1 c b.
-    _, bound, _ = sweep_facts(dendrite)
+    _, bound, by_length = SWEEP_FACTS["trivial within 4|w|+3 steps"]
     for text in ("b a a", "a^-1 b^-1 a^-1 b"):
         curve = Curve(0, dendrite.word(text))
         for steps in (11, 12, 15):
             assert bound(dendrite_system, curve, EventuallyTrivial(steps)) is None
         assert bound(dendrite_system, curve, EventuallyTrivial(16)) == "trivial after 16 steps, bound 15"
-        # a sweep of prefix states tests the shortcut alone
-        by_length = LENGTH_TESTS[bound]
+        # a sweep runs the check only where the length test fails
         assert [by_length(len(curve.conjugator), EventuallyTrivial(steps)) for steps in (11, 12)] == [True, False]
-        assert by_length(len(curve.conjugator), EntersCycle(40, (curve,), (Fraction(1, 2),)))
+        cycle = EntersCycle(40, (curve,), (Fraction(1, 2),))
+        assert by_length(len(curve.conjugator), cycle)
+        assert bound(dendrite_system, curve, cycle) is None
+    # the length test passes only where the check passes
+    for curve in dendrite_system.enumerate_curves(4):
+        for steps in range(20):
+            cls = EventuallyTrivial(steps)
+            if by_length(len(curve.conjugator), cls):
+                assert bound(dendrite_system, curve, cls) is None
