@@ -132,8 +132,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 # Longest conjugator ``sweep`` accepts: the number of curves triples per
 # letter, and the number of merged prefix states grows 2-2.2 fold.  At
 # length 10 (196,830 curves, 21,891 states on the rabbit) a sweep takes
-# about 0.2-0.26 s and 25 MB on the rabbit and 0.09 s and 19 MB on the
-# dendrite, in a fresh process (2-CPU host, Python 3.11).  A sweep that
+# about 0.12-0.17 s and 23 MB on the rabbit and 0.05-0.07 s and 19 MB on
+# the dendrite, in a fresh process (2-CPU host, Python 3.11).  A sweep that
 # falls back to its curves one by one (see ``run_sweep``) takes far longer:
 # 40-60 s and 167 MB on the twisted rabbit of the tests and the CI, whose
 # cut orbits ``classify`` walks again once per curve.

@@ -115,7 +115,8 @@ class _Twist(NamedTuple):
     fault: str | None = None
 
 
-_CURVE_RE = re.compile(r"^\s*(\S+?)\s*(?:\^\s*\(\s*([^()]*?)\s*\)\s*)?$")
+# Greedy classes only, so that a long word literal matches without backtracking.
+_CURVE_RE = re.compile(r"^\s*([^\s^]+)\s*(?:\^\s*\(([^()]*)\)\s*)?$")
 
 
 class PullbackSystem:
@@ -412,28 +413,37 @@ class PullbackSystem:
         None for a trivial image.
 
         The pullback of (u, w) reads only theta(w) and the scan of w from
-        the state theta(w) (see ``pullback``).  So for each axis u and
-        final parity s, one walk grows the conjugators a letter at a
-        time, as ``enumerate_curves`` does, and keeps of each prefix p
-        only its key: the state after reading p from s, which is
-        s + theta(p) mod 2; the reduced scan of p from s; its last
-        letter; and p itself while it follows the power stream of u or
-        of u^-1.  Prefixes with equal keys merge into one state, which
-        counts them.  Equal keys have equal futures:
+        the state theta(w) (see ``pullback``).  So one walk grows the
+        conjugators a letter at a time, as ``enumerate_curves`` does, for
+        all six slots (u, s) of an axis u and a final parity s at once,
+        and keeps of each prefix p of a slot only its key: the state after
+        reading p from s, which is s + theta(p) mod 2; the id of the
+        reduced scan of p from s, or None in a slot whose image is
+        trivial, which reads no scan; its last letter; and (u, p) while p
+        follows the power stream of u or of u^-1.  Prefixes with equal
+        keys merge into one entry, which counts them per slot.  Equal keys
+        have equal futures in every slot:
 
         - The scan of p c from s is the reduced product of the scan of p
           and that of c from the state after p, and p c is reduced unless
           c cancels the last letter.  So the key of p c follows from the
-          key of p and from c.
+          key of p and from c, whatever the slot.
         - By ``canonicalize``, whether a reduced word is canonical
           depends only on how far it follows the stream that its first
           letter starts (u[0] != u^-1[0] for a cyclically reduced u) and,
           at a tie, on that letter.  A prefix that has left both streams
           has fixed both, so every reduced extension of a canonical one
-          is canonical.  A prefix on a stream is the only one of its
-          length there, and ``canonicalize`` tests its children.
-        - A prefix in state 0 has theta(p) = s, and every curve of its
-          state has the target read from entry [u][s] and the common scan.
+          is canonical, whatever u is.  A prefix on a stream is the only
+          one of its length there, its key names u, and ``canonicalize``
+          tests its children.
+        - A prefix in state 0 has theta(p) = s, and every curve it counts
+          in slot (u, s) has the target read from entry [u][s] and the
+          common scan.
+
+        Each slot's counts are one field of ``width`` bits of an int, wide
+        enough for every prefix of the longest length, so merging adds
+        the ints.  The scans, their moves and the targets are kept for
+        one call.
 
         Raises PullbackError if a twist-table entry holds a fault, whether
         or not a curve reads it.
@@ -445,56 +455,74 @@ class PullbackSystem:
                 if entry.fault is not None:
                     raise PullbackError(entry.fault)
         steps = self.psi.steps
+        width = (4 * 3**max_conjugator_length).bit_length()
+        mask = (1 << width) - 1
+        scans = [()]  # scan id -> scan letters
+        ids = {(): 0}  # scan letters -> scan id
+        moves: dict[tuple, list] = {}  # (state, scan id) -> (letter, state after, scan id after) per letter
+        layer = {}  # (state, scan id, last letter, (axis, prefix) on a stream) -> counts per slot
+        slots = []  # (shift, target axis, conjugator, target by scan id) per slot
+        targets: dict[tuple, dict] = {(None, Word.identity()): {None: None}}  # a trivial image: no scan, no target
+        for u, row in enumerate(self._twists):
+            for s, entry in enumerate(row):
+                shift = (2 * u + s) * width
+                layer[s, None if entry.target is None else 0, 0, (u, ())] = 1 << shift
+                found = targets.setdefault((entry.target, entry.conjugator), {})
+                slots.append((shift, entry.target, entry.conjugator, found))
+        # the two power streams of each axis, as far as the longest conjugator follows them
+        streams = [[block * (max_conjugator_length // len(block) + 1) for block in pair] for pair in self._axis_codes]
         out: list[tuple[int, Curve | None, int]] = []
-        for axis in range(3):
-            # the two power streams, as far as the longest conjugator follows them
-            streams = [block * (max_conjugator_length // len(block) + 1) for block in self._axis_codes[axis]]
-            for s in (0, 1):
-                _, target_axis, v, _, _, _ = self._twists[axis][s]
-                targets: dict[tuple[int, ...], Curve] = {}  # scan -> target
-                layer = {(s, (), 0, ()): 1}  # (state, scan, last letter, prefix on a stream) -> curves
-                for length in range(max_conjugator_length + 1):
-                    if length:
-                        heads = (streams[0][:length], streams[1][:length])
-                        grown = {}
-                        for (state, scan, last, prefix), count in layer.items():
-                            for c, (emit, after) in steps[state].items():
-                                if c == -last:
-                                    continue
-                                on = None
-                                if prefix is not None:
-                                    child = Word(prefix + (c,), _reduced=True)
-                                    if self.canonicalize(axis, child).conjugator is not child:
-                                        continue
-                                    if child.codes in heads:
-                                        on = child.codes
-                                if emit and target_axis is not None:  # a trivial image reads no scan
-                                    k = 0
-                                    while k < len(emit) and k < len(scan) and scan[-1 - k] == -emit[k]:
-                                        k += 1
-                                    key = (after, scan[: len(scan) - k] + emit[k:], c, on)
-                                else:
-                                    key = (after, scan, c, on)
-                                grown[key] = grown.get(key, 0) + count
-                        layer = grown
-                    for (state, scan, _, _), count in layer.items():
-                        if state:
+        for length in range(max_conjugator_length + 1):
+            if length:
+                heads = [(plus[:length], minus[:length]) for plus, minus in streams]
+                grown: dict[tuple, int] = {}
+                for (state, sid, last, on), count in layer.items():
+                    here = moves.get((state, sid))
+                    if here is None:
+                        here = moves[state, sid] = []
+                        for c, (emit, after) in steps[state].items():
+                            nxt = sid
+                            if sid is not None and emit:
+                                scan = scans[sid]
+                                k = 0
+                                while k < len(emit) and k < len(scan) and scan[-1 - k] == -emit[k]:
+                                    k += 1
+                                scan = scan[: len(scan) - k] + emit[k:]
+                                nxt = ids.setdefault(scan, len(scans))
+                                if nxt == len(scans):
+                                    scans.append(scan)
+                            here.append((c, after, nxt))
+                    for c, after, nxt in here:
+                        if c == -last:
                             continue
-                        target = None
-                        if target_axis is not None:
-                            target = targets.get(scan)
-                            if target is None:
-                                target = targets[scan] = self.canonicalize(target_axis, v * Word(scan, _reduced=True))
-                        out.append((length, target, count))
+                        key = (after, nxt, c, None)
+                        if on is not None:
+                            u, prefix = on
+                            child = Word(prefix + (c,), _reduced=True)
+                            if self.canonicalize(u, child).conjugator is not child:
+                                continue
+                            if child.codes in heads[u]:
+                                key = (after, nxt, c, (u, child.codes))
+                        grown[key] = grown.get(key, 0) + count
+                layer = grown
+            for (state, sid, _, _), count in layer.items():
+                if state:
+                    continue
+                for shift, target_axis, v, found in slots:
+                    n = count >> shift & mask
+                    if n:
+                        if sid not in found:
+                            found[sid] = self.canonicalize(target_axis, v * Word(scans[sid], _reduced=True))
+                        out.append((length, found[sid], n))
         return out
 
     # -- parsing and formatting ----------------------------------------------
 
     def parse_curve(self, text: str) -> Curve:
         m = _CURVE_RE.match(text)
-        if not m or "^" in m.group(1):
+        if not m:
             raise ValueError(f"bad curve expression {text!r}; expected AXIS or AXIS^(WORD)")
-        axis_name, word_text = m.group(1), m.group(2)
+        axis_name, word_text = m.group(1), (m.group(2) or "").strip()
         names = self.mapdef.axis_names
         if axis_name not in names:
             raise ValueError(f"unknown axis {axis_name!r}; have {list(names)}")

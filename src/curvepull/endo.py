@@ -28,8 +28,7 @@ class ParityHom(Record):
     """Per-generator parity bits defining H = ker(theta), plus the coset
     representative t (a generator with bit 1)."""
 
-    _fields = ("bits",)
-    __slots__ = (*_fields, "_even")
+    __slots__ = _fields = ("bits",)
 
     def __init__(self, bits: tuple[int, int]):
         super().__init__(bits)
@@ -37,8 +36,6 @@ class ParityHom(Record):
             raise ValueError(f"parity bits must be 0/1, got {self.bits}")
         if self.bits == (0, 0):
             raise ValueError("parity is not surjective onto Z/2")
-        # the letter code of the generator with bit 0, or 0, which no letter is
-        object.__setattr__(self, "_even", self.bits.index(0) + 1 if 0 in self.bits else 0)
 
     @property
     def transversal_gen(self) -> int:
@@ -46,9 +43,14 @@ class ParityHom(Record):
         return self.bits.index(1)
 
     def theta(self, w: Word) -> int:
-        """Parity of w: the number of its letters with bit 1, mod 2."""
-        codes, even = w.codes, self._even
-        return (len(codes) - codes.count(even) - codes.count(-even)) & 1
+        """Parity of w: the number of its letters with bit 1, mod 2.
+
+        The letters +-1 are odd and +-2 even, so the sum of the letters
+        has the parity of the number of +-1 letters: one pass in C.
+        """
+        codes, (first, second) = w.codes, self.bits
+        odd = sum(codes)
+        return (first * odd + second * (len(codes) - odd)) & 1
 
 
 def schreier_factor(parity: ParityHom, code: int, state: int) -> Word:

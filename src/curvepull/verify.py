@@ -125,12 +125,17 @@ def verify_nucleus_table(mapdef: MapDefinition, psi: endo.VirtualEndo) -> SuiteR
     return result
 
 
+# The letters that may follow each last letter (0 before the first), in draw order.
+_NEXT_LETTERS = {last: tuple(c for c in (1, -1, 2, -2) if c != -last) for last in (0, 1, -1, 2, -2)}
+
+
 def _random_word(rng: random.Random, max_len: int) -> Word:
     length = rng.randint(0, max_len)
     codes: list[int] = []
+    last = 0
     for _ in range(length):
-        choices = [c for c in (1, -1, 2, -2) if not codes or c != -codes[-1]]
-        codes.append(rng.choice(choices))
+        last = rng.choice(_NEXT_LETTERS[last])
+        codes.append(last)
     return Word(codes, _reduced=True)
 
 

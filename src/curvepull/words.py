@@ -9,6 +9,7 @@ literal equality of tuples.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -30,7 +31,7 @@ def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
 class Word:
     """A freely reduced word; the group operation is ``*``.
 
-    Words compare and hash by their letter tuple, so they can be used as
+    Words compare and hash by their letters, so they can be used as
     dict keys and set members.  ``~w`` is the inverse, ``w ** n`` the
     n-th power, ``u.conj(w)`` the conjugate w^-1 * u * w.
     """
@@ -67,8 +68,8 @@ class Word:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            # hash(-1) == hash(-2) in CPython; shift the letters to 0, 1, 3, 4.
-            h = self._hash = hash(tuple(map((2).__add__, self.codes)))
+            # hash(-1) == hash(-2) in CPython, so hash one byte per letter instead.
+            h = self._hash = hash(array("b", self.codes).tobytes())
         return h
 
     def __mul__(self, other: "Word") -> "Word":

@@ -304,6 +304,32 @@ def test_sweep_dendrite_len0(capsys):
     assert all(h["kind"] == "trivial" and h["steps"] <= 3 for h in hist)
 
 
+# (kind, steps, count) of each histogram line of the length-10 sweeps,
+# past the length-8 reach of test_state_sweep_matches_the_curves
+LENGTH_10_HISTOGRAMS = {
+    "rabbit": [
+        ("cycle", 0, 3), ("cycle", 1, 10515), ("cycle", 2, 23260), ("cycle", 3, 17718),
+        ("cycle", 4, 7246), ("cycle", 5, 3673), ("cycle", 6, 80), ("cycle", 7, 1),
+        ("trivial", 1, 29646), ("trivial", 2, 39439), ("trivial", 3, 29631), ("trivial", 4, 11199),
+        ("trivial", 5, 16672), ("trivial", 6, 6065), ("trivial", 7, 946), ("trivial", 8, 736),
+    ],
+    "dendrite": [
+        ("trivial", 1, 59049), ("trivial", 2, 78732), ("trivial", 3, 29403), ("trivial", 4, 14834),
+        ("trivial", 5, 7406), ("trivial", 6, 4374), ("trivial", 7, 1976), ("trivial", 8, 896),
+        ("trivial", 9, 160),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(LENGTH_10_HISTOGRAMS))
+def test_length_10_sweeps_keep_their_histograms(capsys, name):
+    code, doc = run_json(capsys, "sweep", "--map", name, "--max-len", "10")
+    assert code == 0
+    res = doc["results"]
+    assert res["curve_count"] == 196830
+    assert [(h["kind"], h["steps"], h["count"]) for h in res["histogram"]] == LENGTH_10_HISTOGRAMS[name]
+
+
 def test_sweep_reports_obstruction(capsys, tmp_path, fixed_map_text):
     # each axis curve is an invariant cycle of weight product >= 1
     f = tmp_path / "fixed.map"
@@ -326,18 +352,6 @@ def test_sweep_paper_facts_follow_the_map_name(capsys, tmp_path, fixed_map_text)
     _, out, _ = run(capsys, "sweep", "--map", str(f), "--max-len", "0")
     assert "expected trivial" not in out
 
-
-# The rabbit's Schreier images pushed through x -> x y x^-1, y -> x: its
-# orbits drift, so a sweep reports many counterexamples.
-TWISTED_TEXT = """\
-map twisted
-gen x parity 0
-gen y parity 1
-axis z = y^-1 x^-1
-schreier x -> x
-schreier y^-1 x y -> 1
-schreier y y -> y^-1 x^-1
-"""
 
 # The automorphism x -> y -> z -> x, of order 3, on the Schreier
 # generators: every curve lies on a cycle of period 3, and most of these
@@ -374,9 +388,9 @@ _serial_sweeps: dict = {}
 
 
 @pytest.fixture(scope="module")
-def sweep_maps(tmp_path_factory):
+def sweep_maps(tmp_path_factory, twisted_map_text):
     d = tmp_path_factory.mktemp("maps")
-    (d / "twisted.map").write_text(TWISTED_TEXT)
+    (d / "twisted.map").write_text(twisted_map_text)
     (d / "broken.map").write_text(BROKEN_TEXT)
     (d / "rotation.map").write_text(ROTATION_TEXT)
     return {"TWISTED": str(d / "twisted.map"), "BROKEN": str(d / "broken.map"), "ROTATION": str(d / "rotation.map")}

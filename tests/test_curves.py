@@ -429,9 +429,14 @@ def test_enumerate_l1_count(rabbit_system):
     assert len(rabbit_system.enumerate_curves(1)) == 10
 
 
-@pytest.mark.parametrize("name", ["rabbit", "dendrite", "x y x"])
-def test_prefix_states_hold_each_curve_once_with_its_target(name, axis_shape_systems):
-    system = axis_shape_systems[name]
+@pytest.mark.parametrize("name", ["rabbit", "dendrite", "x y x", "fixed", "twisted"])
+def test_prefix_states_hold_each_curve_once_with_its_target(name, axis_shape_systems, fixed_map_text, twisted_map_text):
+    # fixed: no (axis, parity) slot has a trivial image; twisted: x at s = 1
+    # is trivial, as on the rabbit, and both z slots put x^-1 before the scan
+    if name in ("fixed", "twisted"):
+        system = PullbackSystem(parse_mapdef(fixed_map_text if name == "fixed" else twisted_map_text))
+    else:
+        system = axis_shape_systems[name]
     for max_length in range(7):
         want = collections.Counter(
             (len(c.conjugator), system.pullback(c).target) for c in system.enumerate_curves(max_length)
@@ -490,6 +495,9 @@ def test_parse_and_format_curve(rabbit_system):
     assert rabbit_system.parse_curve(rabbit_system.format_curve(c)) == c
     assert rabbit_system.format_curve(Curve(0, Word.identity())) == "x"
     assert rabbit_system.parse_curve("  y ^ ( x )  ") == Curve(1, rabbit_system.mapdef.word("x"))
+    assert rabbit_system.parse_curve("\ty\t^\t(\tx\ty^-1\t)\t") == rabbit_system.parse_curve("y^(x y^-1)")
+    for text in ("x ^ ( )", "x^()", "x\t^(\t)"):
+        assert rabbit_system.parse_curve(text) == Curve(0, Word.identity())
     with pytest.raises(ValueError, match="unknown axis"):
         rabbit_system.parse_curve("q")
     for text in ("z^(x", "x^(y)^(x)", "x^(y))", "x^((y))", "x^(y)(x)"):

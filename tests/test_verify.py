@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from curvepull.verify import (
     verify_nucleus_table,
     verify_recursions,
     verify_section,
+    _random_word,
 )
 from curvepull.words import Word
 
@@ -235,3 +237,16 @@ def test_trivial_bound_past_the_shortcut_uses_the_geodesic_length(dendrite, dend
             cls = EventuallyTrivial(steps)
             if by_length(len(curve.conjugator), cls):
                 assert bound(dendrite_system, curve, cls) is None
+
+
+def test_random_words_keep_their_draws():
+    # the words of the earlier generator, which built each letter's choices as a list
+    def listed(rng, max_len):
+        codes = []
+        for _ in range(rng.randint(0, max_len)):
+            codes.append(rng.choice([c for c in (1, -1, 2, -2) if not codes or c != -codes[-1]]))
+        return Word(codes, _reduced=True)
+
+    for seed in (7, 11, 13):
+        want, got = random.Random(seed), random.Random(seed)
+        assert [listed(want, 24) for _ in range(300)] == [_random_word(got, 24) for _ in range(300)]

@@ -158,6 +158,14 @@ def test_hashes_distinct_on_short_words():
         layer = [w + (c,) for w in layer for c in (1, -1, 2, -2) if not w or w[-1] != -c]
         words += [Word(w) for w in layer]
     assert len(words) == 1457
+    # and long words that differ only where x^-1 and y^-1 are swapped
+    rng = random.Random(5)
+    for _ in range(20):
+        codes = [rng.choice((-1, -2)) for _ in range(rng.randint(50, 5000))]
+        words.append(Word(codes))
+        for k in rng.sample(range(len(codes)), 3):
+            words.append(Word([-3 - c if i == k else c for i, c in enumerate(codes)]))
+    assert len(set(words)) == len(words) == 1457 + 80
     assert len({hash(w) for w in words}) == len(words)
 
 
